@@ -36,7 +36,6 @@ from .tracking import (
     register_controller,
     rollout_constant_reference,
     solve_steady_state,
-    synthesize_gain,
 )
 from .safeset import (
     LevelCertificate,

@@ -44,6 +44,7 @@ from .scenario import (
     build_scenario,
     load_config,
     validate_config,
+    with_safe_set,
 )
 
 log = logging.getLogger("oco_rg")
@@ -139,7 +140,8 @@ def cmd_table1(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     combos = [(oco, ss) for oco in ("ogd", "prev_opt") for ss in ("fixed", "variable")]
-    bundles = {ss: build_scenario(cfg, safe_set_kind=ss) for ss in ("fixed", "variable")}
+    fixed = build_scenario(cfg, safe_set_kind="fixed")
+    bundles = {"fixed": fixed, "variable": with_safe_set(fixed, "variable")}
 
     def run(combo):
         oco, ss = combo

@@ -237,14 +237,22 @@ def build_scenario(cfg: ScenarioConfig, safe_set_kind=None) -> ScenarioBundle:
     else:  # pragma: no cover - guarded by validate_config
         raise ConfigError(f"unknown plant kind {cfg.plant_kind!r}")
 
-    if kind == "fixed":
-        safe_set = fixed_level_set(poly, ctrl, grid_points=cfg.grid_points,
-                                   level_scale=cfg.level_scale)
-    else:
-        safe_set = variable_level_set(poly, ctrl, grid_points=cfg.grid_points,
-                                      level_scale=cfg.level_scale)
-    return ScenarioBundle(config=cfg, plant=plant, ctrl=ctrl, poly=poly,
-                          safe_set=safe_set, schedule=schedule, gain_schedule=gains)
+    bundle = ScenarioBundle(config=cfg, plant=plant, ctrl=ctrl, poly=poly,
+                            safe_set=None, schedule=schedule, gain_schedule=gains)
+    return with_safe_set(bundle, kind)
+
+
+def with_safe_set(bundle: ScenarioBundle, kind: str) -> ScenarioBundle:
+    """The bundle with a safe set of the given kind, sharing everything else.
+
+    Plant, controller and cost schedule hold no state once built, so runs
+    on several bundles from one build may share them across threads.
+    """
+    cfg = bundle.config
+    make = fixed_level_set if kind == "fixed" else variable_level_set
+    safe_set = make(bundle.poly, bundle.ctrl, grid_points=cfg.grid_points,
+                    level_scale=cfg.level_scale)
+    return replace(bundle, safe_set=safe_set)
 
 
 DEVIATIONS = (

@@ -10,6 +10,7 @@ P interpolated linearly between grid points.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,13 +19,23 @@ import numpy as np
 
 from .plant import CstrParams, Plant, register_steady_stack
 
+log = logging.getLogger("oco_rg")
+
 
 class SingularParameterizationError(ValueError):
     """Steady-state map evaluated where its defining equations degenerate."""
 
 
 class SynthesisError(RuntimeError):
-    """Gain synthesis failed (Riccati iteration did not converge)."""
+    """Gain synthesis failed (Riccati iteration did not converge).
+
+    ``index`` is the batch index of the first problem, in C order, that
+    did not converge; ``()`` for an unbatched problem.
+    """
+
+    def __init__(self, message, index=()):
+        super().__init__(message)
+        self.index = index
 
 
 class StabilityEstimationError(RuntimeError):
@@ -175,12 +186,18 @@ def register_steady_state_map(m: int, p: int, v_lo, v_hi) -> SteadyStateMap:
     return SteadyStateMap(h=h, u_ss=u_ss, o=m, v_lo=v_lo, v_hi=v_hi, dh=dh, du_ss=du_ss)
 
 
-def dare_value_iteration(A, B, Q, R, tol=1e-12, max_iter=10_000):
+def dare_value_iteration(A, B, Q, R, tol=1e-12, max_iter=10_000, *,
+                         return_iterations=False):
     """Fixed-point value iteration for the discrete-time Riccati equation.
 
     Iterates P <- Q + A'PA - A'PB (R + B'PB)^{-1} B'PA from P = Q until the
     max-norm change drops below tol.  Returns (P, K) with closed loop
-    A + B K.  Slow but dependable at the 2x2 sizes used here.
+    A + B K, plus the iteration counts when ``return_iterations`` is set.
+
+    Leading axes of A, B, Q and R are batch axes and broadcast.  All
+    problems iterate together; each leaves the batch on the iteration where
+    it converges and is finished by the same operations as a lone 2-D
+    problem, so its (P, K) is bit-identical to solving it alone.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -190,18 +207,38 @@ def dare_value_iteration(A, B, Q, R, tol=1e-12, max_iter=10_000):
         B = B[:, None]
     if R.ndim == 0:
         R = R[None, None]
+    n, m = B.shape[-2:]
+    batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2], Q.shape[:-2], R.shape[:-2])
+    A, B, Q, R = (np.broadcast_to(M, batch + M.shape[-2:]).reshape((-1,) + M.shape[-2:])
+                  for M in (A, B, Q, R))
+    P_out = np.empty((len(A), n, n))
+    K_out = np.empty((len(A), m, n))
+    iterations = np.empty(len(A), dtype=int)
+    active = np.arange(len(A))
     P = Q.copy()
-    for _ in range(max_iter):
-        BtP = B.T @ P
+    for it in range(1, max_iter + 1):
+        BtP = np.swapaxes(B, -1, -2) @ P
         K = -np.linalg.solve(R + BtP @ B, BtP @ A)
-        P_next = Q + A.T @ P @ A + A.T @ P @ B @ K
-        if np.max(np.abs(P_next - P)) < tol:
-            P = 0.5 * (P_next + P_next.T)
-            K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-            return P, K
+        AtP = np.swapaxes(A, -1, -2) @ P
+        P_next = Q + AtP @ A + AtP @ B @ K
+        done = np.max(np.abs(P_next - P), axis=(-2, -1)) < tol
+        if done.any():
+            Pd = P_next[done]
+            Pd = 0.5 * (Pd + np.swapaxes(Pd, -1, -2))
+            BtPd = np.swapaxes(B[done], -1, -2) @ Pd
+            P_out[active[done]] = Pd
+            K_out[active[done]] = -np.linalg.solve(R[done] + BtPd @ B[done], BtPd @ A[done])
+            iterations[active[done]] = it
+            keep = ~done
+            active = active[keep]
+            if not active.size:
+                out = (P_out.reshape(batch + (n, n)), K_out.reshape(batch + (m, n)))
+                return out + (iterations.reshape(batch),) if return_iterations else out
+            A, B, Q, R, P_next = A[keep], B[keep], Q[keep], R[keep], P_next[keep]
         P = P_next
     raise SynthesisError(
-        f"Riccati value iteration did not converge within {max_iter} iterations"
+        f"Riccati value iteration did not converge within {max_iter} iterations",
+        index=tuple(int(i) for i in np.unravel_index(active[0], batch)),
     )
 
 
@@ -216,22 +253,6 @@ def linearize(plant: Plant, x_bar, u_bar, eps=1e-6):
         A[:, j] = (plant.step(x_bar + d, u_bar) - plant.step(x_bar - d, u_bar)) / (2 * eps)
     B = (plant.step(x_bar, u_bar + eps) - plant.step(x_bar, u_bar - eps)) / (2 * eps)
     return A, B.reshape(plant.n, 1)
-
-
-def synthesize_gain(v, plant: Plant, ss: SteadyStateMap, Q, R):
-    """LQR gain and Riccati weight at one reference point.
-
-    Linearizes the plant at (h(v), u_ss(v)) and solves the Riccati equation
-    by value iteration.  Raises SynthesisError (naming v) on non-convergence.
-    """
-    x_bar = ss.h(v)
-    u_bar = ss.u_ss(v)
-    A, B = linearize(plant, x_bar, u_bar)
-    try:
-        P, K = dare_value_iteration(A, B, np.asarray(Q, dtype=float), np.asarray(R, dtype=float))
-    except SynthesisError as exc:
-        raise SynthesisError(f"gain synthesis failed at v = {float(v):.6g}: {exc}") from exc
-    return K, P
 
 
 @dataclass(frozen=True)
@@ -265,13 +286,24 @@ class GainSchedule:
 
 
 def build_gain_schedule(plant: Plant, ss: SteadyStateMap, Q, R, grid_points=181) -> GainSchedule:
+    """LQR gains and Riccati weights at every grid point, from one batched solve.
+
+    Linearizes the plant at each (h(v), u_ss(v)) and solves all Riccati
+    equations in one call.  Raises SynthesisError naming the lowest grid
+    point that did not converge.
+    """
     vgrid = ss.grid(grid_points)
-    Ks = np.zeros((grid_points, plant.m, plant.n))
-    Ps = np.zeros((grid_points, plant.n, plant.n))
-    for idx, v in enumerate(vgrid):
-        K, P = synthesize_gain(v, plant, ss, Q, R)
-        Ks[idx] = K
-        Ps[idx] = 0.5 * (P + P.T)
+    A, B = zip(*(linearize(plant, ss.h(v), ss.u_ss(v)) for v in vgrid))
+    try:
+        Ps, Ks, iterations = dare_value_iteration(np.stack(A), np.stack(B), Q, R,
+                                                  return_iterations=True)
+    except SynthesisError as exc:
+        v = vgrid[exc.index]
+        raise SynthesisError(f"gain synthesis failed at v = {float(v):.6g}: {exc}",
+                             index=exc.index) from exc
+    slowest = int(np.argmax(iterations))
+    log.info("gain schedule: %d grid points, %d Riccati iterations, at most %d (v = %.6g)",
+             grid_points, int(iterations.sum()), iterations[slowest], vgrid[slowest])
     return GainSchedule(vgrid=vgrid, Ks=Ks, Ps=Ps)
 
 

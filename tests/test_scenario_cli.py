@@ -153,6 +153,12 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_synthesis_failure_exits_one(self, tmp_path, capsys):
+        cfg = write(tmp_path, "[tracking]\nlqr_r = 1\n")
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert ("error: gain synthesis failed at v = 0.4225: Riccati value iteration "
+                "did not converge within 10000 iterations") in capsys.readouterr().err
+
     def test_memory_scenario_passes(self, tmp_path):
         text = (REPO / "configs" / "oco_memory.ini").read_text()
         text = text.replace("steps = 600", "steps = 200")

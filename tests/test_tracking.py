@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from oco_rg import (
     SingularParameterizationError,
     StabilityEstimationError,
     SteadyStateMap,
+    SynthesisError,
     TrackingController,
     build_converse_lyapunov,
+    build_cstr_controller,
+    build_gain_schedule,
     dare_value_iteration,
     rollout_constant_reference,
     solve_steady_state,
-    synthesize_gain,
 )
 from oco_rg.tracking import cstr_steady_state_map, linearize
 
@@ -26,6 +30,36 @@ def scalar_riccati_oracle(a, b, q, r, iters=100_000):
             return p_next
         p = p_next
     return p
+
+
+def pointwise_schedule_oracle(plant, ss, Q, R, grid_points, tol=1e-12, max_iter=10_000):
+    """Per-point Riccati value iteration, one grid point at a time.
+
+    Returns (Ks, Ps, iterations) from plain 2-D numpy calls in the order the
+    batched solver must reproduce bit for bit.
+    """
+    vgrid = ss.grid(grid_points)
+    Ks = np.zeros((grid_points, plant.m, plant.n))
+    Ps = np.zeros((grid_points, plant.n, plant.n))
+    counts = []
+    for idx, v in enumerate(vgrid):
+        A, B = linearize(plant, ss.h(v), ss.u_ss(v))
+        P = Q.copy()
+        for it in range(1, max_iter + 1):
+            BtP = B.T @ P
+            K = -np.linalg.solve(R + BtP @ B, BtP @ A)
+            P_next = Q + A.T @ P @ A + A.T @ P @ B @ K
+            if np.max(np.abs(P_next - P)) < tol:
+                P = 0.5 * (P_next + P_next.T)
+                K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+                break
+            P = P_next
+        else:
+            raise AssertionError(f"oracle did not converge at v = {v}")
+        Ks[idx] = K
+        Ps[idx] = 0.5 * (P + P.T)
+        counts.append(it)
+    return Ks, Ps, counts
 
 
 def make_scalar_tracking(a=0.5):
@@ -100,11 +134,48 @@ class TestGainSynthesis:
         assert K[0, 0] == 0.0
         assert P[0, 0] == pytest.approx(1.0 / (1.0 - 0.64), abs=1e-10)
 
+    def test_batch_axes_match_unbatched_calls(self):
+        A = np.array([[[0.5]], [[0.9]], [[0.7]]])
+        B = np.array([[[1.0]], [[0.0]], [[0.3]]])
+        Q, R = np.array([[1.0]]), np.array([[1.0]])
+        P, K, iters = dare_value_iteration(A, B, Q, R, return_iterations=True)
+        assert P.shape == (3, 1, 1) and K.shape == (3, 1, 1) and iters.shape == (3,)
+        for i in range(3):
+            P1, K1 = dare_value_iteration(A[i], B[i], Q, R)
+            assert np.array_equal(P[i], P1) and np.array_equal(K[i], K1)
+        with pytest.raises(SynthesisError, match="within 30 iterations") as err:
+            dare_value_iteration(A, B, Q, R, max_iter=30)
+        assert err.value.index == (1,)
+
     def test_gain_is_deterministic(self, cstr, params):
-        ss = cstr_steady_state_map(params)
-        K1, P1 = synthesize_gain(0.55, cstr.plant, ss, np.eye(2), np.array([[0.01]]))
-        K2, P2 = synthesize_gain(0.55, cstr.plant, ss, np.eye(2), np.array([[0.01]]))
-        assert np.array_equal(K1, K2) and np.array_equal(P1, P2)
+        ss = cstr_steady_state_map(params, 0.55, 0.85)
+        s1 = build_gain_schedule(cstr.plant, ss, np.eye(2), np.array([[0.01]]), 2)
+        s2 = build_gain_schedule(cstr.plant, ss, np.eye(2), np.array([[0.01]]), 2)
+        assert np.array_equal(s1.Ks, s2.Ks) and np.array_equal(s1.Ps, s2.Ps)
+
+    @pytest.mark.parametrize("v_lo, v_hi, points, q, r", [
+        (0.41, 0.85, 5, 1.0, 0.01),  # v = 0.41 converges slowest on the default grid
+        (0.5, 0.8, 4, 3.0, 0.05),
+    ])
+    def test_schedule_bit_identical_to_pointwise_loop(self, cstr, params, caplog,
+                                                      v_lo, v_hi, points, q, r):
+        ss = cstr_steady_state_map(params, v_lo, v_hi)
+        Q, R = q * np.eye(2), np.array([[r]])
+        Ks, Ps, counts = pointwise_schedule_oracle(cstr.plant, ss, Q, R, points)
+        with caplog.at_level(logging.INFO, logger="oco_rg"):
+            sched = build_gain_schedule(cstr.plant, ss, Q, R, points)
+        assert np.array_equal(sched.Ks, Ks) and np.array_equal(sched.Ps, Ps)
+        slowest = int(np.argmax(counts))
+        assert (f"{points} grid points, {sum(counts)} Riccati iterations, "
+                f"at most {counts[slowest]} (v = {ss.grid(points)[slowest]:.6g})") in caplog.text
+
+    def test_non_convergence_names_lowest_grid_point(self, cstr, params):
+        # unit input weight: the lowest failing point of the default grid
+        with pytest.raises(SynthesisError) as err:
+            build_cstr_controller(cstr.plant, params, lqr_r=1.0)
+        assert str(err.value) == ("gain synthesis failed at v = 0.4225: Riccati value "
+                                  "iteration did not converge within 10000 iterations")
+        assert err.value.index == (9,)
 
     def test_schedule_stabilizes_on_grid(self, cstr):
         for v in np.linspace(0.4, 0.85, 100):
