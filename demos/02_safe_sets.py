@@ -37,7 +37,7 @@ fixed = fixed_level_set(poly, ctrl)
 variable = variable_level_set(poly, ctrl)
 cert = fixed.certificate
 print("\n=== Uniform level ===")
-print(f"V_max = min Gamma = {cert.V_min:.6g}")
+print(f"V_max = min Gamma = {cert.V_max:.6g}")
 print(f"ball radius delta = {cert.delta:.4g} fits inside every slice")
 print(f"settling horizon (diagnostic): {cert.k_star} steps")
 
@@ -45,7 +45,7 @@ print("\n=== Set sizes along the window ===")
 print(f"{'theta':>7s} {'Gamma(v)':>10s} {'V_max':>10s} {'ratio':>7s}")
 for v in np.linspace(0.4, 0.85, 10):
     g = float(compute_gamma(v, poly, ctrl))
-    print(f"{v:7.3f} {g:10.5f} {cert.V_min:10.5f} {g / cert.V_min:7.1f}")
+    print(f"{v:7.3f} {g:10.5f} {cert.V_max:10.5f} {g / cert.V_max:7.1f}")
 
 print("\n=== Forward invariance, sampled ===")
 rng = np.random.default_rng(0)
@@ -68,5 +68,5 @@ out = "safe_set_levels.csv"
 with open(out, "w") as fh:
     fh.write("v,gamma,V_max,delta\n")
     for v, g in zip(vgrid, gamma):
-        fh.write(f"{v:.17g},{g:.17g},{cert.V_min:.17g},{cert.delta:.17g}\n")
+        fh.write(f"{v:.17g},{g:.17g},{cert.V_max:.17g},{cert.delta:.17g}\n")
 print(f"\nwrote {out} (columns v, gamma, V_max, delta) for set pictures")

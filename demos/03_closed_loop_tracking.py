@@ -23,7 +23,7 @@ params = CstrParams()
 plant = cstr_plant(params)
 ctrl, _ = build_cstr_controller(plant, params)
 safe_set = variable_level_set(cstr_constraints(), ctrl)
-schedule = CstrCostSchedule(horizon=2400, tau=params.tau)
+schedule = CstrCostSchedule(horizon=2400)
 
 print("cost schedule: weight 150 - 100 sin(2 pi t / 2400),")
 print("target ramps 0.27 -> 0.65 (90 s), holds (90 s), ramps down to 0.30 (60 s)")

@@ -31,7 +31,7 @@ plant = cstr_plant(params)
 ctrl, _ = build_cstr_controller(plant, params)
 poly = cstr_constraints()
 sets = {"fixed": fixed_level_set(poly, ctrl), "variable": variable_level_set(poly, ctrl)}
-schedule = CstrCostSchedule(horizon=2400, tau=params.tau)
+schedule = CstrCostSchedule(horizon=2400)
 
 runs = {}
 for oco in ("ogd", "prev_opt"):

@@ -17,7 +17,6 @@ from .plant import (
     cstr_constraints,
     cstr_continuous_rhs,
     cstr_plant,
-    euler_step,
     shift_register_plant,
 )
 from .tracking import (
@@ -34,7 +33,6 @@ from .tracking import (
     cstr_steady_state_map,
     dare_value_iteration,
     register_controller,
-    rollout_constant_reference,
     solve_steady_state,
 )
 from .safeset import (
@@ -42,6 +40,7 @@ from .safeset import (
     ReferenceInfeasibleError,
     ReferenceWindowError,
     SafeSet,
+    SliceNotIntervalError,
     calibrate_fixed_level,
     compute_gamma,
     fixed_level_set,

@@ -8,16 +8,11 @@ desired reference onto the admissible slice at the current state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .safeset import SafeSet
+from .safeset import SafeSet, SliceNotIntervalError
 
 BISECTION_ITERS = 50  # beta resolution ~1e-15, far below the 1e-10 contract
-
-ALPHA_PASS_THROUGH = math.nan  # sentinel for steps where the governor was inactive
 
 
 class InvarianceViolationError(RuntimeError):
@@ -34,20 +29,15 @@ class InitializationInfeasibleError(ValueError):
 
 @dataclass
 class GovernorState:
-    """Mutable per-run state: previous reference and step diagnostics.
-
-    ``alphas`` logs the admissible move size per step, with NaN marking
-    pass-through steps (the sentinel branch of the bookkeeping definition).
-    """
+    """Mutable per-run state: previous reference and the step fractions beta."""
 
     v_prev: float
     betas: list = field(default_factory=list)
-    alphas: list = field(default_factory=list)
 
 
 def initialize_governor(x0, r0, safe_set: SafeSet) -> GovernorState:
     """Start the governor at v_0 = r_0, requiring (x0, r0) to be safe."""
-    V0 = float(safe_set.lyapunov(x0, r0))
+    V0 = float(safe_set.ctrl.lyapunov(x0, r0))
     lev = float(safe_set.level(r0))
     if V0 > lev:
         raise InitializationInfeasibleError(
@@ -68,12 +58,11 @@ def scalar_rg(x, r, state: GovernorState, safe_set: SafeSet):
     if bool(safe_set.contains(x, r)):
         state.v_prev = r
         state.betas.append(1.0)
-        state.alphas.append(ALPHA_PASS_THROUGH)
         return r
     if not bool(safe_set.contains(x, v_prev)):
         raise InvarianceViolationError(
             f"(x, v_prev = {v_prev:.6g}) left the safe set; "
-            f"V = {float(safe_set.lyapunov(x, v_prev)):.6g} > "
+            f"V = {float(safe_set.ctrl.lyapunov(x, v_prev)):.6g} > "
             f"level = {float(safe_set.level(v_prev)):.6g}"
         )
     lo, hi = 0.0, 1.0
@@ -85,49 +74,29 @@ def scalar_rg(x, r, state: GovernorState, safe_set: SafeSet):
             hi = mid
     v = v_prev + lo * (r - v_prev)
     state.betas.append(lo)
-    state.alphas.append(abs(v - v_prev))
     state.v_prev = v
     return v
 
 
-def command_governor(x, r, safe_set: SafeSet, scan_points=2001, tol=1e-10):
+def command_governor(x, r, safe_set: SafeSet):
     """Admissible reference closest to r (scalar references).
 
-    Projects r onto the admissible slice at x: scans the window, refines
-    the nearest feasible boundary on each side by bisection, and returns
-    the closer candidate (smaller value on ties).
+    Returns r when it is admissible, and otherwise r clipped onto the
+    admissible slice ``safe_set.cross_section_v(x)``, bit for bit; only the
+    slice end on r's side is bisected.  Raises SliceNotIntervalError when
+    the window scan is not one interval or an inadmissible r lies strictly
+    inside the admissible scan range.
     """
     r = float(r)
     if bool(safe_set.contains(x, r)):
         return r
-    lo, hi = safe_set.window
-    grid = np.linspace(lo, hi, scan_points)
-    feas = np.asarray(
-        safe_set.contains(np.broadcast_to(np.asarray(x, dtype=float), grid.shape + np.shape(x)), grid)
-    )
-    idx = np.flatnonzero(feas)
-    if idx.size == 0:
+    brackets = safe_set.scan_v(x)
+    if brackets is None:
         raise GovernorInfeasibleError("no admissible reference at the current state")
-
-    def refine(inside):
-        # pull the feasible endpoint toward r (infeasible) across the boundary
-        outside = r
-        for _ in range(200):
-            if abs(outside - inside) <= tol:
-                break
-            mid = 0.5 * (inside + outside)
-            if bool(safe_set.contains(x, mid)):
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
-    candidates = []
-    below = idx[grid[idx] <= r]
-    if below.size:
-        candidates.append(refine(grid[below[-1]]))
-    above = idx[grid[idx] >= r]
-    if above.size:
-        candidates.append(refine(grid[above[0]]))
-    best = min(candidates, key=lambda v: (abs(v - r), v))
-    return float(best)
+    (a, a_out), (b, b_out) = brackets
+    if r < a:
+        return float(safe_set.bisect_v(x, a, a_out))
+    if r > b:
+        return float(safe_set.bisect_v(x, b, b_out))
+    raise SliceNotIntervalError(
+        f"inadmissible reference {r} lies inside the admissible scan range [{a}, {b}]")

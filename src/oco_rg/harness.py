@@ -227,7 +227,7 @@ def run_closed_loop(plant: Plant, ctrl: TrackingController, safe_set: SafeSet,
         raise ValueError(f"unknown online-update kind {oco_kind!r}")
     x = np.asarray(plant.x0 if x0 is None else x0, dtype=float)
     gov = initialize_governor(x, r0, safe_set)
-    oco_state = OcoState(r_prev=float(r0), kind=oco_kind, gamma=gamma, grad_tol=grad_tol)
+    oco_state = OcoState(r_prev=float(r0), gamma=gamma, grad_tol=grad_tol)
     ss_cost = SteadyStateCost(schedule, ctrl)
     revealed = InstrumentedCost(ss_cost)
     labels = ("c", "theta") if plant.n == 2 and plant.name == "cstr" else tuple(
@@ -249,7 +249,6 @@ def run_closed_loop(plant: Plant, ctrl: TrackingController, safe_set: SafeSet,
                 v = command_governor(x, r, safe_set)
                 gov.v_prev = v
                 gov.betas.append(math.nan)
-                gov.alphas.append(math.nan)
                 beta = math.nan
             t2 = time.perf_counter_ns()
             u = float(ctrl.feedback(x, v))
@@ -873,7 +872,7 @@ def adversarial_lower_bound(plant: Plant, ctrl: TrackingController, oco_kind: st
     if reference_path is None:
         mid, amp = 0.5 * (lo + hi), 0.25 * (hi - lo)
         reference_path = [mid + amp * math.sin(2.0 * math.pi * t / max(T, 1)) for t in range(T)]
-    state = OcoState(r_prev=float(reference_path[0]), kind=oco_kind)
+    state = OcoState(r_prev=float(reference_path[0]))
     acc_stage = KahanSum()
     acc_oco = KahanSum()
     rs = []

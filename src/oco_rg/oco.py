@@ -22,15 +22,14 @@ class CstrCostSchedule:
 
     The weight follows a sinusoid, q_t = q_offset - q_amplitude sin(2 pi t /
     q_period); the target concentration ramps up, holds, and ramps back down
-    over the run.  Times are in steps; tau converts to seconds for the
-    target schedule breakpoints.
+    over the run.  Every time, including q_period and the ramp breakpoints,
+    is in steps.
     """
 
-    def __init__(self, horizon=2400, tau=0.1, q_offset=150.0, q_amplitude=100.0,
+    def __init__(self, horizon=2400, q_offset=150.0, q_amplitude=100.0,
                  q_period=2400, cbar_initial=0.27, cbar_high=0.65, cbar_final=0.3,
                  ramp_end=900, plateau_end=1800):
         self.horizon = int(horizon)
-        self.tau = float(tau)
         self.q_offset = float(q_offset)
         self.q_amplitude = float(q_amplitude)
         self.q_period = float(q_period)
@@ -208,7 +207,6 @@ class OcoState:
     """Mutable state of the online reference update."""
 
     r_prev: float
-    kind: str  # "ogd" | "prev_opt"
     gamma: float = 2.5e-4
     grad_tol: float = 1e-9
 

@@ -44,16 +44,13 @@ class Plant:
     """Deterministic discrete-time system x+ = step(x, u).
 
     ``step`` must be a pure function of (x, u); batches broadcast over
-    leading axes.  ``rhs`` holds the continuous-time right-hand side for
-    plants obtained by Euler discretization (None otherwise).
+    leading axes.
     """
 
     n: int
     m: int
     step: Callable[[np.ndarray, np.ndarray], np.ndarray]
     x0: np.ndarray
-    tau: float
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     name: str = "plant"
 
 
@@ -90,27 +87,16 @@ def cstr_continuous_rhs(state, u, params: CstrParams):
     return np.stack([dc, dtheta], axis=-1)
 
 
-def euler_step(plant: Plant, x, u):
-    """One Euler-forward step x + tau * rhs(x, u)."""
-    if plant.rhs is None:
-        raise ValueError(f"plant {plant.name!r} has no continuous right-hand side")
-    x = np.asarray(x, dtype=float)
-    return x + plant.tau * plant.rhs(x, u)
-
-
 def cstr_plant(params: CstrParams | None = None, x0=(0.2632, 0.6519)) -> Plant:
     """Euler-forward discretization of the tank reactor."""
     params = params or CstrParams()
     x0 = np.asarray(x0, dtype=float)
 
-    def rhs(x, u):
-        return cstr_continuous_rhs(x, u, params)
-
     def step(x, u):
         x = np.asarray(x, dtype=float)
-        return x + params.tau * rhs(x, u)
+        return x + params.tau * cstr_continuous_rhs(x, u, params)
 
-    return Plant(n=2, m=1, step=step, x0=x0, tau=params.tau, rhs=rhs, name="cstr")
+    return Plant(n=2, m=1, step=step, x0=x0, name="cstr")
 
 
 def shift_register_plant(m: int, p: int, x0=None) -> Plant:
@@ -134,7 +120,7 @@ def shift_register_plant(m: int, p: int, x0=None) -> Plant:
             u = u[..., None]
         return np.concatenate([x[..., m:], u], axis=-1)
 
-    return Plant(n=n, m=m, step=step, x0=x0, tau=1.0, rhs=None, name=f"register(m={m},p={p})")
+    return Plant(n=n, m=m, step=step, x0=x0, name=f"register(m={m},p={p})")
 
 
 def register_steady_stack(m: int, p: int) -> np.ndarray:
@@ -162,32 +148,29 @@ class ConstraintPolytope:
     def n_rows(self) -> int:
         return self.b.shape[0]
 
+    def _inputs(self, u):
+        """u as (..., m); a trailing input axis is added for scalar inputs."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        return u[..., None] if u.shape[-1] != self.Au.shape[1] else u
+
     def raw_margins(self, x, u):
         """Row margins b - Ax x - Au u; all >= 0 means (x, u) in Z."""
         x = np.asarray(x, dtype=float)
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.shape[-1] != self.Au.shape[1]:
-            u = u[..., None]
-        return self.b - x @ self.Ax.T - u @ self.Au.T
-
-    def raw_contains(self, x, u) -> bool:
-        return bool(np.all(self.raw_margins(x, u) >= 0.0))
+        return self.b - x @ self.Ax.T - self._inputs(u) @ self.Au.T
 
     def worst_raw_margin(self, x, u):
         return np.min(self.raw_margins(x, u), axis=-1)
 
     def rows_at(self, h_v, u_ss_v, K_v):
-        """Closed-loop rows at one reference: (G, margins) with G (x-h) <= margins.
+        """Closed-loop rows (G, margins) with G (x - h(v)) <= margins.
 
-        G = Ax + Au K(v) and margins = b - Ax h(v) - Au u_ss(v).
+        G = Ax + Au K(v) and margins = b - Ax h(v) - Au u_ss(v); leading
+        axes of h_v (..., n), u_ss_v (..., m) and K_v (..., m, n) are batch
+        axes.
         """
-        h_v = np.asarray(h_v, dtype=float)
-        K_v = np.asarray(K_v, dtype=float)
-        if K_v.ndim == 1:
-            K_v = K_v[None, :]
-        u_ss_v = np.atleast_1d(np.asarray(u_ss_v, dtype=float))
-        G = self.Ax + self.Au @ K_v
-        margins = self.b - self.Ax @ h_v - self.Au @ u_ss_v
+        G = self.Ax + np.einsum("zm,...mn->...zn", self.Au, K_v)
+        margins = self.b - np.einsum("zn,...n->...z", self.Ax, h_v) - np.einsum(
+            "zm,...m->...z", self.Au, self._inputs(u_ss_v))
         return G, margins
 
 

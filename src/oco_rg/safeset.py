@@ -15,6 +15,9 @@ import numpy as np
 from .plant import ConstraintPolytope
 from .tracking import TrackingController
 
+SCAN_POINTS = 2001  # window scan that brackets the ends of a reference slice
+SLICE_TOL = 1e-10  # width to which each slice end is bisected
+
 
 class ReferenceWindowError(ValueError):
     """Reference outside the admissible window."""
@@ -22,6 +25,10 @@ class ReferenceWindowError(ValueError):
 
 class ReferenceInfeasibleError(ValueError):
     """A constraint row is violated at steady state for this reference."""
+
+
+class SliceNotIntervalError(ValueError):
+    """The admissible references at a state do not form one interval."""
 
 
 def compute_gamma(v, poly: ConstraintPolytope, ctrl: TrackingController):
@@ -35,15 +42,7 @@ def compute_gamma(v, poly: ConstraintPolytope, ctrl: TrackingController):
     Raises ReferenceInfeasibleError when some steady-state margin m_i <= 0.
     """
     v = np.asarray(v, dtype=float)
-    h_v = ctrl.ss.h(v)
-    u_v = np.atleast_1d(np.asarray(ctrl.ss.u_ss(v), dtype=float))
-    if u_v.shape[-1] != poly.Au.shape[1]:
-        u_v = u_v[..., None]
-    K_v = ctrl.gain(v)
-    G = poly.Ax + np.einsum("zm,...mn->...zn", poly.Au, K_v)
-    margins = poly.b - np.einsum("zn,...n->...z", poly.Ax, h_v) - np.einsum(
-        "zm,...m->...z", poly.Au, u_v
-    )
+    G, margins = poly.rows_at(ctrl.ss.h(v), ctrl.ss.u_ss(v), ctrl.gain(v))
     if np.any(margins <= 0.0):
         bad = int(np.argmin(margins.reshape(-1, poly.n_rows).min(axis=0)))
         label = poly.row_labels[bad] if poly.row_labels else str(bad)
@@ -61,7 +60,6 @@ def compute_gamma(v, poly: ConstraintPolytope, ctrl: TrackingController):
 class LevelCertificate:
     """Calibration record for a uniform safe level."""
 
-    V_min: float
     V_max: float
     k_star: int | None
     delta: float
@@ -92,65 +90,67 @@ class SafeSet:
     def window(self):
         return self.ctrl.ss.window
 
-    def _check_window(self, v):
+    def level(self, v):
         lo, hi = self.window
         if np.any(np.asarray(v) < lo - 1e-9) or np.any(np.asarray(v) > hi + 1e-9):
             raise ReferenceWindowError(f"reference {v} outside window [{lo}, {hi}]")
-
-    def level(self, v):
-        self._check_window(v)
         if self.kind == "fixed":
             return self.level_scale * self._level_value * np.ones_like(np.asarray(v, dtype=float))
         return self.level_scale * compute_gamma(v, self.poly, self.ctrl)
 
-    def lyapunov(self, x, v):
-        return self.ctrl.lyapunov(x, v)
-
     def contains(self, x, v):
         """Membership V(x, v) <= level(v); boolean, broadcast over batches."""
-        self._check_window(v)
-        return self.ctrl.lyapunov(x, v) <= self.level(v)
-
-    def cross_section_x(self, v):
-        """Membership predicate for the state slice at fixed v."""
-        self._check_window(v)
         lev = self.level(v)
-        return lambda x: self.ctrl.lyapunov(x, v) <= lev
+        return self.ctrl.lyapunov(x, v) <= lev
 
-    def cross_section_v(self, x, scan_points=2001, tol=1e-10):
-        """Admissible reference interval at state x, or None when empty.
+    def scan_v(self, x):
+        """Brackets ((a, a_out), (b, b_out)) of both ends of the slice at x.
 
-        Scans the window, then bisects each side of the feasible grid range
-        to the boundary; assumes the slice is an interval (continuity of the
-        level and of V in v), which holds for the shipped scenarios.
+        a and b are the first and last admissible points of a SCAN_POINTS
+        window scan, a_out and b_out their neighbours (None at the window
+        edge); None when no scan point is admissible.  Raises
+        SliceNotIntervalError when the admissible points are not contiguous.
         """
-        lo, hi = self.window
-        grid = np.linspace(lo, hi, scan_points)
-        feas = self.contains(np.broadcast_to(np.asarray(x, dtype=float), grid.shape + np.shape(x)), grid)
-        idx = np.flatnonzero(feas)
+        grid = np.linspace(*self.window, SCAN_POINTS)
+        x = np.asarray(x, dtype=float)
+        idx = np.flatnonzero(self.contains(np.broadcast_to(x, grid.shape + x.shape), grid))
         if idx.size == 0:
             return None
-        left = grid[idx[0]]
-        right = grid[idx[-1]]
+        i, j = idx[0], idx[-1]
+        if j - i + 1 != idx.size:
+            raise SliceNotIntervalError(
+                f"admissible references at x = {x} are not one interval on the window scan")
 
-        def bisect(inside, outside):
-            for _ in range(200):
-                if abs(outside - inside) <= tol:
-                    break
-                mid = 0.5 * (inside + outside)
-                if bool(self.contains(x, mid)):
-                    inside = mid
-                else:
-                    outside = mid
+        a_out = grid[i - 1] if i > 0 else None
+        b_out = grid[j + 1] if j + 1 < SCAN_POINTS else None
+        return (grid[i], a_out), (grid[j], b_out)
+
+    def bisect_v(self, x, inside, outside):
+        """Slice end bisected to width SLICE_TOL from an admissible ``inside``
+        toward an inadmissible ``outside`` (``inside`` itself when None)."""
+        if outside is None:
             return inside
+        for _ in range(200):
+            if abs(outside - inside) <= SLICE_TOL:
+                break
+            mid = 0.5 * (inside + outside)
+            if bool(self.contains(x, mid)):
+                inside = mid
+            else:
+                outside = mid
+        return inside
 
-        a = left if idx[0] == 0 else bisect(left, grid[idx[0] - 1])
-        b = right if idx[-1] == scan_points - 1 else bisect(right, grid[idx[-1] + 1])
-        return (a, b)
+    def cross_section_v(self, x):
+        """Admissible reference interval (a, b) at state x, or None when empty.
 
-    def level_on_grid(self, points=181):
-        vgrid = self.ctrl.ss.grid(points)
-        return vgrid, self.level(vgrid)
+        Both ends of ``scan_v`` refined by ``bisect_v``; a slice that is not
+        one interval on the scan raises SliceNotIntervalError.
+        """
+        brackets = self.scan_v(x)
+        if brackets is None:
+            return None
+        (a, a_out), (b, b_out) = brackets
+        return self.bisect_v(x, a, a_out), self.bisect_v(x, b, b_out)
 
 
 def _ball_radius(level, ctrl, vgrid):
@@ -172,8 +172,8 @@ def calibrate_fixed_level(poly: ConstraintPolytope, ctrl: TrackingController, gr
     gamma = compute_gamma(grid, poly, ctrl)
     V_max = float(np.min(gamma))
     if not np.isfinite(V_max):
-        cert = LevelCertificate(V_min=V_max, V_max=V_max, k_star=None,
-                                delta=np.inf, gamma_max=float(np.max(gamma)))
+        cert = LevelCertificate(V_max=V_max, k_star=None, delta=np.inf,
+                                gamma_max=float(np.max(gamma)))
         return V_max, cert
     if V_max <= 0.0:
         raise ReferenceInfeasibleError("non-positive level on the calibration grid")
@@ -199,8 +199,7 @@ def calibrate_fixed_level(poly: ConstraintPolytope, ctrl: TrackingController, gr
         k_star = int(np.ceil(np.log(V_max / gamma_max) / np.log(factor))) if gamma_max > V_max else 0
     else:
         k_star = None
-    cert = LevelCertificate(V_min=V_max, V_max=V_max, k_star=k_star,
-                            delta=delta, gamma_max=gamma_max)
+    cert = LevelCertificate(V_max=V_max, k_star=k_star, delta=delta, gamma_max=gamma_max)
     return V_max, cert
 
 
@@ -216,6 +215,6 @@ def variable_level_set(poly, ctrl, grid_points=181, level_scale=1.0):
     gamma = compute_gamma(grid, poly, ctrl)
     V_max = float(np.min(gamma))
     delta = _ball_radius(V_max, ctrl, grid) if np.isfinite(V_max) else np.inf
-    cert = LevelCertificate(V_min=V_max, V_max=V_max, k_star=None,
-                            delta=delta, gamma_max=float(np.max(gamma)))
+    cert = LevelCertificate(V_max=V_max, k_star=None, delta=delta,
+                            gamma_max=float(np.max(gamma)))
     return SafeSet("variable", ctrl, poly, level_scale=level_scale, certificate=cert)

@@ -203,7 +203,6 @@ class ScenarioBundle:
     poly: object
     safe_set: object
     schedule: object
-    gain_schedule: object = None
 
 
 def build_scenario(cfg: ScenarioConfig, safe_set_kind=None) -> ScenarioBundle:
@@ -213,13 +212,13 @@ def build_scenario(cfg: ScenarioConfig, safe_set_kind=None) -> ScenarioBundle:
         params = CstrParams(theta_f=cfg.theta_f, k_rate=cfg.k_rate, M_act=cfg.m_act,
                             x_f=cfg.x_f, x_c=cfg.x_c, alpha_f=cfg.alpha_f, tau=cfg.tau)
         plant = cstr_plant(params, x0=cfg.x0)
-        ctrl, gains = build_cstr_controller(
+        ctrl, _ = build_cstr_controller(
             plant, params, v_lo=cfg.v_min, v_hi=cfg.v_max,
             lqr_q=cfg.lqr_q, lqr_r=cfg.lqr_r, grid_points=cfg.grid_points)
         poly = box_polytope([(cfg.c_min, cfg.c_max), (cfg.theta_min, cfg.theta_max)],
                             [(cfg.u_min, cfg.u_max)])
         schedule = CstrCostSchedule(
-            horizon=cfg.steps, tau=cfg.tau, q_offset=cfg.q_offset,
+            horizon=cfg.steps, q_offset=cfg.q_offset,
             q_amplitude=cfg.q_amplitude, q_period=cfg.q_period,
             cbar_initial=cfg.cbar_initial, cbar_high=cfg.cbar_high,
             cbar_final=cfg.cbar_final, ramp_end=cfg.ramp_end,
@@ -228,7 +227,6 @@ def build_scenario(cfg: ScenarioConfig, safe_set_kind=None) -> ScenarioBundle:
         m, p = cfg.register_m, cfg.register_p
         plant = shift_register_plant(m, p, x0=np.full(m * p, cfg.r0))
         ctrl = register_controller(plant, m, p, cfg.v_min, cfg.v_max)
-        gains = None
         poly = box_polytope([(None, None)] * (m * p), [(cfg.u_min, cfg.u_max)] * m)
         schedule = MemoryCostSchedule(
             horizon=cfg.steps, p=p, weight=cfg.memory_weight,
@@ -238,7 +236,7 @@ def build_scenario(cfg: ScenarioConfig, safe_set_kind=None) -> ScenarioBundle:
         raise ConfigError(f"unknown plant kind {cfg.plant_kind!r}")
 
     bundle = ScenarioBundle(config=cfg, plant=plant, ctrl=ctrl, poly=poly,
-                            safe_set=None, schedule=schedule, gain_schedule=gains)
+                            safe_set=None, schedule=schedule)
     return with_safe_set(bundle, kind)
 
 

@@ -53,7 +53,6 @@ class SteadyStateMap:
 
     h: Callable
     u_ss: Callable
-    o: int
     v_lo: float
     v_hi: float
     dh: Callable | None = None
@@ -68,53 +67,49 @@ class SteadyStateMap:
         return np.linspace(self.v_lo, self.v_hi, points)
 
 
+def cstr_equilibrium(v, p: CstrParams, exp=np.exp, order=1):
+    """Reactor equilibrium at temperature v, in closed form.
+
+    The concentration c follows from the concentration balance (1 - c) /
+    theta_f = k c exp(-M/v) alone; the holding coolant rate u then solves
+    the temperature balance, whose cooling term has denominator alpha_f (v -
+    x_c).  ``order`` 0 returns c, 1 returns (c, u) and 2 returns (c, u,
+    dc/dv, du/dv).  ``exp`` is np.exp for arrays and math.exp for floats.
+    """
+    e = exp(-p.M_act / v)
+    w = p.theta_f * p.k_rate * e
+    c = 1.0 / (1.0 + w)
+    if order == 0:
+        return c
+    num = (p.x_f - v) / p.theta_f + p.k_rate * c * e
+    den = p.alpha_f * (v - p.x_c)
+    if order == 1:
+        return c, num / den
+    s = p.k_rate * e
+    dc = -w * p.M_act / (v * v * (1.0 + w) ** 2)
+    dnum = -1.0 / p.theta_f + dc * s + c * (s * p.M_act / (v * v))
+    return c, num / den, dc, (dnum * den - num * p.alpha_f) / (den * den)
+
+
 class CstrScalarOps:
     """Plain-float equilibrium quantities of the reactor (hot-path helper)."""
 
-    __slots__ = ("theta_f", "k_rate", "M_act", "x_f", "x_c", "alpha_f")
+    __slots__ = ("params",)
 
     def __init__(self, params: CstrParams):
-        self.theta_f = params.theta_f
-        self.k_rate = params.k_rate
-        self.M_act = params.M_act
-        self.x_f = params.x_f
-        self.x_c = params.x_c
-        self.alpha_f = params.alpha_f
+        self.params = params
 
     def pair(self, v):
         """(equilibrium concentration, holding input) at temperature v."""
-        s = self.k_rate * math.exp(-self.M_act / v)
-        c = 1.0 / (1.0 + self.theta_f * s)
-        u = ((self.x_f - v) / self.theta_f + c * s) / (self.alpha_f * (v - self.x_c))
-        return c, u
+        return cstr_equilibrium(v, self.params, math.exp)
 
     def pair_grad(self, v):
-        """d/dv of the equilibrium concentration and holding input."""
-        s = self.k_rate * math.exp(-self.M_act / v)
-        w = self.theta_f * s
-        c = 1.0 / (1.0 + w)
-        dc = -w * self.M_act / (v * v * (1.0 + w) ** 2)
-        ds = s * self.M_act / (v * v)
-        num = (self.x_f - v) / self.theta_f + c * s
-        den = self.alpha_f * (v - self.x_c)
-        dnum = -1.0 / self.theta_f + dc * s + c * ds
-        du = (dnum * den - num * self.alpha_f) / (den * den)
-        return c, num / den, dc, du
-
-
-def cstr_equilibrium_concentration(v, params: CstrParams):
-    """Closed-form c at steady state: (1 - c)/theta_f = k c exp(-M/v)."""
-    v = np.asarray(v, dtype=float)
-    w = params.theta_f * params.k_rate * np.exp(-params.M_act / v)
-    return 1.0 / (1.0 + w)
+        """(c, u) and their d/dv at temperature v."""
+        return cstr_equilibrium(v, self.params, math.exp, 2)
 
 
 def solve_steady_state(v, params: CstrParams):
     """Equilibrium state and input of the reactor at temperature v.
-
-    The concentration follows from the concentration balance alone; the
-    coolant rate then solves the temperature balance, whose cooling term
-    has denominator alpha_f (v - x_c).
 
     Returns (h(v), u_ss(v)); raises SingularParameterizationError at v = x_c.
     """
@@ -123,11 +118,7 @@ def solve_steady_state(v, params: CstrParams):
         raise SingularParameterizationError(
             f"steady-state input undefined at v = x_c = {params.x_c}"
         )
-    c = cstr_equilibrium_concentration(varr, params)
-    num = (params.x_f - varr) / params.theta_f + params.k_rate * c * np.exp(
-        -params.M_act / varr
-    )
-    u = num / (params.alpha_f * (varr - params.x_c))
+    c, u = cstr_equilibrium(varr, params)
     return np.stack([c, varr], axis=-1), u
 
 
@@ -136,30 +127,19 @@ def cstr_steady_state_map(params: CstrParams, v_lo=0.4, v_hi=0.85) -> SteadyStat
 
     def h(v):
         v = np.asarray(v, dtype=float)
-        return np.stack([cstr_equilibrium_concentration(v, params), v], axis=-1)
+        return np.stack([cstr_equilibrium(v, params, order=0), v], axis=-1)
 
     def u_ss(v):
         return solve_steady_state(v, params)[1]
 
     def dh(v):
         v = np.asarray(v, dtype=float)
-        w = params.theta_f * params.k_rate * np.exp(-params.M_act / v)
-        dc = -w * params.M_act / (v * v * (1.0 + w) ** 2)
-        return np.stack([dc, np.ones_like(v)], axis=-1)
+        return np.stack([cstr_equilibrium(v, params, order=2)[2], np.ones_like(v)], axis=-1)
 
     def du_ss(v):
-        v = np.asarray(v, dtype=float)
-        w = params.theta_f * params.k_rate * np.exp(-params.M_act / v)
-        c = 1.0 / (1.0 + w)
-        dc = -w * params.M_act / (v * v * (1.0 + w) ** 2)
-        s = params.k_rate * np.exp(-params.M_act / v)
-        ds = s * params.M_act / (v * v)
-        num = (params.x_f - v) / params.theta_f + c * s
-        den = params.alpha_f * (v - params.x_c)
-        dnum = -1.0 / params.theta_f + dc * s + c * ds
-        return (dnum * den - num * params.alpha_f) / (den * den)
+        return cstr_equilibrium(np.asarray(v, dtype=float), params, order=2)[3]
 
-    return SteadyStateMap(h=h, u_ss=u_ss, o=1, v_lo=v_lo, v_hi=v_hi, dh=dh,
+    return SteadyStateMap(h=h, u_ss=u_ss, v_lo=v_lo, v_hi=v_hi, dh=dh,
                           du_ss=du_ss, fast=CstrScalarOps(params))
 
 
@@ -183,7 +163,7 @@ def register_steady_state_map(m: int, p: int, v_lo, v_hi) -> SteadyStateMap:
     def du_ss(v):
         return np.ones_like(np.asarray(v, dtype=float))
 
-    return SteadyStateMap(h=h, u_ss=u_ss, o=m, v_lo=v_lo, v_hi=v_hi, dh=dh, du_ss=du_ss)
+    return SteadyStateMap(h=h, u_ss=u_ss, v_lo=v_lo, v_hi=v_hi, dh=dh, du_ss=du_ss)
 
 
 def dare_value_iteration(A, B, Q, R, tol=1e-12, max_iter=10_000, *,
@@ -332,14 +312,8 @@ class TrackingController:
         """Control input g(x, v); shape (...,) for single-input plants."""
         x = np.asarray(x, dtype=float)
         err = x - self.ss.h(v)
-        u = self.u_ss(v) + np.einsum("...ij,...j->...i", self.gain(v), err)[..., 0]
-        return u
-
-    def u_ss(self, v):
-        return np.asarray(self.ss.u_ss(v), dtype=float)
-
-    def h(self, v):
-        return self.ss.h(v)
+        u_ss = np.asarray(self.ss.u_ss(v), dtype=float)
+        return u_ss + np.einsum("...ij,...j->...i", self.gain(v), err)[..., 0]
 
     def closed_loop(self, x, v):
         """One step of x+ = f(x, g(x, v))."""
@@ -368,10 +342,6 @@ class TrackingController:
                 raise type(exc)(f"rollout failed at step {t + 1}: {exc}") from exc
             out[..., t + 1, :] = cur
         return out
-
-
-def rollout_constant_reference(ctrl: TrackingController, x, v, steps: int):
-    return ctrl.rollout(x, v, steps)
 
 
 def build_cstr_controller(

@@ -42,7 +42,7 @@ def cstr(params, cstr_cfg):
         lqr_q=cstr_cfg.lqr_q, lqr_r=cstr_cfg.lqr_r,
         grid_points=cstr_cfg.grid_points)
     poly = box_polytope([(0.0, 1.0), (0.0, 1.0)], [(0.0, 2.0)])
-    schedule = CstrCostSchedule(horizon=cstr_cfg.steps, tau=params.tau)
+    schedule = CstrCostSchedule(horizon=cstr_cfg.steps)
     return SimpleNamespace(
         plant=plant, ctrl=ctrl, gains=gains, poly=poly, schedule=schedule,
         fixed=fixed_level_set(poly, ctrl, grid_points=cstr_cfg.grid_points),

@@ -49,7 +49,7 @@ def test_01_constraint_safety_and_runtime():
     sets = {"fixed": fixed_level_set(poly, ctrl), "variable": variable_level_set(poly, ctrl)}
     from oco_rg import CstrCostSchedule
 
-    schedule = CstrCostSchedule(horizon=cfg.steps, tau=params.tau)
+    schedule = CstrCostSchedule(horizon=cfg.steps)
     violations = {}
     for oco in ("ogd", "prev_opt"):
         for kind, safe_set in sets.items():

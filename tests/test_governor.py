@@ -5,6 +5,8 @@ from oco_rg import (
     GovernorState,
     InitializationInfeasibleError,
     InvarianceViolationError,
+    SafeSet,
+    SliceNotIntervalError,
     command_governor,
     initialize_governor,
     sample_safe_states,
@@ -36,6 +38,18 @@ def literal_beta_scan(safe_set, x, r, v_prev, points=1_000_000, chunk=200_000):
             best = float(betas[np.flatnonzero(feas)[-1]])
             found = True
     return best if found else 0.0
+
+
+class SliceStub(SafeSet):
+    """Safe set whose reference slice is {v in [-1, 1] : admissible(v)} at every state."""
+
+    window = (-1.0, 1.0)
+
+    def __init__(self, admissible):
+        self.admissible = admissible
+
+    def contains(self, x, v):
+        return self.admissible(np.asarray(v, dtype=float))
 
 
 class TestScalarGovernor:
@@ -138,6 +152,35 @@ class TestCommandGovernor:
             v = command_governor(x[i], float(r[i]), cstr.variable)
             v_star = command_governor_grid_oracle(cstr.variable, x[i], float(r[i]))
             assert abs(v - v_star) <= 2e-6
+
+    @pytest.mark.parametrize("kind", ["fixed", "variable"])
+    def test_is_reference_clipped_onto_slice(self, cstr, kind):
+        safe_set = getattr(cstr, kind)
+        x, _, r = make_instances(safe_set, 300, seed=83)
+        clipped = 0
+        for i in range(300):
+            a, b = safe_set.cross_section_v(x[i])
+            expected = min(max(float(r[i]), a), b)
+            assert command_governor(x[i], float(r[i]), safe_set) == expected
+            clipped += expected != r[i]
+        assert clipped > 30, "instance generator produced no binding cases"
+
+    def test_two_piece_slice_raises(self):
+        pieces = SliceStub(lambda v: np.abs(v) >= 0.2)
+        x = np.zeros(2)
+        with pytest.raises(SliceNotIntervalError):
+            pieces.cross_section_v(x)
+        with pytest.raises(SliceNotIntervalError):
+            command_governor(x, 0.0, pieces)
+        assert command_governor(x, 0.5, pieces) == 0.5
+
+    def test_gap_between_scan_points_raises(self):
+        # the scan spacing is 1e-3, so the gap (2e-4, 4e-4) holds no scan point
+        gap = SliceStub(lambda v: (v <= 2e-4) | (v >= 4e-4))
+        x = np.zeros(2)
+        assert gap.cross_section_v(x) == (-1.0, 1.0)
+        with pytest.raises(SliceNotIntervalError, match="inside the admissible scan range"):
+            command_governor(x, 3e-4, gap)
 
     def test_agrees_with_scalar_rg_on_intervals(self, cstr):
         """When the slice is an interval containing v_prev, the segment

@@ -123,34 +123,34 @@ class TestOgd:
     def test_zero_gradient_is_fixed_point(self, cstr):
         cost = frozen_cost(cstr.ctrl, 150.0, 0.5)
         eta = benchmark_reference(cost, 0)
-        state = OcoState(r_prev=eta, kind="ogd")
+        state = OcoState(r_prev=eta)
         r = ogd_step(state, cost, 1)
         assert r == pytest.approx(eta, abs=1e-9)
 
     def test_projection_clamps_to_window(self, cstr):
         cost = frozen_cost(cstr.ctrl, 250.0, 0.65)
-        state = OcoState(r_prev=0.4, kind="ogd", gamma=10.0)  # huge step
+        state = OcoState(r_prev=0.4, gamma=10.0)  # huge step
         r = ogd_step(state, cost, 1)
         assert 0.4 <= r <= 0.85
 
     def test_rejects_time_zero(self, cstr):
         cost = frozen_cost(cstr.ctrl, 150.0, 0.5)
         with pytest.raises(ValueError):
-            ogd_step(OcoState(r_prev=0.5, kind="ogd"), cost, 0)
+            ogd_step(OcoState(r_prev=0.5), cost, 0)
 
 
 class TestPrevOpt:
     def test_constant_costs_give_constant_reference(self, cstr):
         cost = frozen_cost(cstr.ctrl, 150.0, 0.5)
         eta = benchmark_reference(cost, 0)
-        state = OcoState(r_prev=0.8, kind="prev_opt")
+        state = OcoState(r_prev=0.8)
         rs = [prev_opt_step(state, cost, t) for t in range(1, 5)]
         assert np.allclose(rs, eta, atol=1e-9)
 
     def test_q_linear_with_zero_factor(self, cstr):
         """r_t = eta_{t-1} exactly, the zero-contraction special case."""
         cost = SteadyStateCost(cstr.schedule, cstr.ctrl)
-        state = OcoState(r_prev=0.6519, kind="prev_opt")
+        state = OcoState(r_prev=0.6519)
         for t in range(1, 6):
             r = prev_opt_step(state, cost, t)
             eta_prev = benchmark_reference(cost, t - 1)
@@ -160,8 +160,8 @@ class TestPrevOpt:
 class TestCausality:
     def test_all_accesses_are_strictly_past(self, cstr):
         inst = InstrumentedCost(SteadyStateCost(cstr.schedule, cstr.ctrl))
-        ogd = OcoState(r_prev=0.6519, kind="ogd")
-        prev = OcoState(r_prev=0.6519, kind="prev_opt")
+        ogd = OcoState(r_prev=0.6519)
+        prev = OcoState(r_prev=0.6519)
         for t in range(1, 40):
             inst.now = t
             ogd_step(ogd, inst, t)

@@ -6,7 +6,6 @@ from oco_rg import (
     PlantDomainError,
     cstr_continuous_rhs,
     cstr_plant,
-    euler_step,
     shift_register_plant,
 )
 from oco_rg.plant import register_steady_stack
@@ -56,7 +55,7 @@ class TestEulerStep:
         plant = cstr_plant(params)
         for v in np.linspace(0.4, 0.85, 200):
             x, u = steady_pair(v, params)
-            assert np.linalg.norm(euler_step(plant, x, u) - x) <= 1e-9
+            assert np.linalg.norm(plant.step(x, u) - x) <= 1e-9
 
     def test_zero_tau_keeps_state(self, params):
         frozen = cstr_plant(CstrParams(tau=1e-300))
@@ -66,7 +65,8 @@ class TestEulerStep:
     def test_matches_plant_step(self, params):
         plant = cstr_plant(params)
         x = np.array([0.3, 0.6])
-        assert np.array_equal(euler_step(plant, x, 0.7), plant.step(x, 0.7))
+        euler = x + params.tau * cstr_continuous_rhs(x, 0.7, params)
+        assert np.array_equal(euler, plant.step(x, 0.7))
 
     def test_step_is_deterministic(self, params):
         plant = cstr_plant(params)
@@ -115,11 +115,6 @@ class TestShiftRegister:
         out = plant.step(x, np.array([5.0, 6.0]))
         assert out.tolist() == [3.0, 4.0, 5.0, 6.0]
 
-    def test_no_continuous_rhs(self):
-        plant = shift_register_plant(1, 1)
-        with pytest.raises(ValueError, match="no continuous right-hand side"):
-            euler_step(plant, np.array([0.0]), 1.0)
-
     @pytest.mark.parametrize("p", [1, 3])
     def test_deadbeat_property_random(self, p):
         from hypothesis import given, settings
@@ -142,8 +137,8 @@ class TestShiftRegister:
 class TestConstraintPolytope:
     def test_box_membership_and_margins(self, cstr):
         poly = cstr.poly
-        assert poly.raw_contains([0.5, 0.5], 1.0)
-        assert not poly.raw_contains([1.1, 0.5], 1.0)
+        assert poly.worst_raw_margin([0.5, 0.5], 1.0) >= 0.0
+        assert poly.worst_raw_margin([1.1, 0.5], 1.0) < 0.0
         # worst margin is the distance to the nearest face
         assert poly.worst_raw_margin([0.5, 0.7], 1.9) == pytest.approx(0.1)
 
@@ -156,7 +151,7 @@ class TestConstraintPolytope:
         def run(c, theta, u):
             x = np.array([c, theta])
             margins = cstr.poly.raw_margins(x, u)
-            assert cstr.poly.raw_contains(x, u) == bool(np.all(margins >= 0.0))
+            assert (cstr.poly.worst_raw_margin(x, u) >= 0.0) == bool(np.all(margins >= 0.0))
 
         run()
 
@@ -165,10 +160,19 @@ class TestConstraintPolytope:
         h_v = cstr.ctrl.ss.h(v)
         K_v = cstr.ctrl.gain(v)
         u_v = cstr.ctrl.ss.u_ss(v)
-        G, margins = cstr.poly.rows_at(h_v, u_v, K_v[0])
+        G, margins = cstr.poly.rows_at(h_v, u_v, K_v)
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = h_v + rng.uniform(-0.05, 0.05, 2)
-            direct = cstr.poly.raw_contains(x, cstr.ctrl.feedback(x, v))
+            direct = cstr.poly.worst_raw_margin(x, cstr.ctrl.feedback(x, v)) >= 0.0
             via_rows = bool(np.all(G @ (x - h_v) <= margins + 1e-12))
             assert direct == via_rows
+
+    def test_rows_broadcast_over_references(self, cstr):
+        vgrid = np.linspace(0.4, 0.85, 7)
+        ss, ctrl = cstr.ctrl.ss, cstr.ctrl
+        G, margins = cstr.poly.rows_at(ss.h(vgrid), ss.u_ss(vgrid), ctrl.gain(vgrid))
+        assert G.shape == (7, cstr.poly.n_rows, 2) and margins.shape == (7, cstr.poly.n_rows)
+        for i, v in enumerate(vgrid):
+            G_i, m_i = cstr.poly.rows_at(ss.h(v), ss.u_ss(v), ctrl.gain(v))
+            assert np.array_equal(G[i], G_i) and np.array_equal(margins[i], m_i)

@@ -16,11 +16,11 @@ from oco_rg import (
 
 def identity_tracking(n=2, margin_rows=None):
     """Trivial plant with h(v) = 0, u_ss = 0, K = 0, P = I for formula tests."""
-    plant = Plant(n=n, m=1, step=lambda x, u: np.asarray(x, float), x0=np.zeros(n), tau=1.0)
+    plant = Plant(n=n, m=1, step=lambda x, u: np.asarray(x, float), x0=np.zeros(n))
     ss = SteadyStateMap(
         h=lambda v: np.zeros(np.shape(v) + (n,)),
         u_ss=lambda v: np.zeros_like(np.asarray(v, float)),
-        o=1, v_lo=-1.0, v_hi=1.0,
+        v_lo=-1.0, v_hi=1.0,
         dh=lambda v: np.zeros(np.shape(v) + (n,)),
         du_ss=lambda v: np.zeros_like(np.asarray(v, float)))
     return TrackingController(
@@ -81,18 +81,18 @@ class TestFixedLevelCalibration:
         poly = ConstraintPolytope(np.array([[1.0, 0.0]]), np.zeros((1, 1)), np.array([0.1]))
         V_max, cert = calibrate_fixed_level(poly, ctrl, np.linspace(-1, 1, 11))
         assert V_max == pytest.approx(0.01)
-        assert cert.V_min == V_max
+        assert cert.V_max == V_max
         assert cert.delta == pytest.approx(0.1)
 
     def test_cstr_level_order_of_magnitude(self, cstr):
-        V_max = cstr.fixed.certificate.V_min
+        V_max = cstr.fixed.certificate.V_max
         # reference point 0.0135 from the benchmark write-up; controller
         # synthesis differs, so only the order of magnitude is pinned
         assert 0.00135 < V_max < 0.135
 
     def test_certificate_ordering(self, cstr):
         cert = cstr.fixed.certificate
-        assert cert.V_min <= cert.V_max <= cert.gamma_max
+        assert cert.V_max <= cert.gamma_max
         assert cert.delta > 0.0
         assert cert.k_star is None or cert.k_star >= 0
 
@@ -178,11 +178,10 @@ class TestCrossSections:
         idx = np.flatnonzero(feas)
         assert np.all(np.diff(idx) == 1)
 
-    def test_cross_section_x_predicate(self, cstr):
+    def test_state_slice_membership(self, cstr):
         v = 0.7
-        pred = cstr.variable.cross_section_x(v)
-        assert pred(cstr.ctrl.ss.h(v))
-        assert not pred(cstr.ctrl.ss.h(v) + np.array([0.5, 0.0]))
+        assert cstr.variable.contains(cstr.ctrl.ss.h(v), v)
+        assert not cstr.variable.contains(cstr.ctrl.ss.h(v) + np.array([0.5, 0.0]), v)
 
     def test_empty_section_returns_none(self, cstr):
         x_far = np.array([0.99, 0.99])

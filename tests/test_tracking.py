@@ -14,7 +14,6 @@ from oco_rg import (
     build_cstr_controller,
     build_gain_schedule,
     dare_value_iteration,
-    rollout_constant_reference,
     solve_steady_state,
 )
 from oco_rg.tracking import cstr_steady_state_map, linearize
@@ -72,10 +71,10 @@ def make_scalar_tracking(a=0.5):
             u = u[..., None]
         return a * x + (1 - a) * u
 
-    plant = Plant(n=1, m=1, step=step, x0=np.array([0.0]), tau=1.0)
+    plant = Plant(n=1, m=1, step=step, x0=np.array([0.0]))
     ss = SteadyStateMap(h=lambda v: np.asarray(v, float)[..., None],
                         u_ss=lambda v: np.asarray(v, float),
-                        o=1, v_lo=-1.0, v_hi=1.0,
+                        v_lo=-1.0, v_hi=1.0,
                         dh=lambda v: np.ones(np.shape(v) + (1,)),
                         du_ss=lambda v: np.ones_like(np.asarray(v, float)))
     K0 = np.zeros((1, 1))
@@ -116,6 +115,15 @@ class TestSteadyStateMap:
             du_fd = (ss.u_ss(v + eps) - ss.u_ss(v - eps)) / (2 * eps)
             assert np.allclose(ss.dh(v), dh_fd, rtol=1e-6, atol=1e-8)
             assert ss.du_ss(v) == pytest.approx(du_fd, rel=1e-6)
+
+    def test_scalar_path_matches_array_path(self, params):
+        ss = cstr_steady_state_map(params)
+        vgrid = ss.grid(2001)
+        array = (ss.h(vgrid)[:, 0], ss.u_ss(vgrid), ss.dh(vgrid)[:, 0], ss.du_ss(vgrid))
+        pairs = np.array([ss.fast.pair(float(v)) for v in vgrid]).T
+        grads = np.array([ss.fast.pair_grad(float(v)) for v in vgrid]).T
+        for scalar, arr in zip((*pairs, *grads), array[:2] + array):
+            assert np.max(np.abs(scalar - arr) / np.abs(arr)) <= 1e-13
 
 
 class TestGainSynthesis:
@@ -193,12 +201,12 @@ class TestGainSynthesis:
 class TestRollout:
     def test_constant_at_fixed_point(self, cstr, params):
         h, _ = solve_steady_state(0.6519, params)
-        seq = rollout_constant_reference(cstr.ctrl, h, 0.6519, 100)
+        seq = cstr.ctrl.rollout(h, 0.6519, 100)
         assert np.linalg.norm(seq - h, axis=-1).max() <= 1e-6
 
     def test_zero_steps(self, cstr):
         x = np.array([0.3, 0.6])
-        seq = rollout_constant_reference(cstr.ctrl, x, 0.6, 0)
+        seq = cstr.ctrl.rollout(x, 0.6, 0)
         assert seq.shape == (1, 2)
         assert np.array_equal(seq[0], x)
 
@@ -206,7 +214,7 @@ class TestRollout:
         # the configured start is the steady state at 0.6519 up to the
         # 4-digit rounding of its concentration entry
         assert np.linalg.norm(cstr.plant.x0 - cstr.ctrl.ss.h(0.6519)) < 5e-5
-        seq = rollout_constant_reference(cstr.ctrl, cstr.plant.x0, 0.6519, 100)
+        seq = cstr.ctrl.rollout(cstr.plant.x0, 0.6519, 100)
         h = cstr.ctrl.ss.h(0.6519)
         assert np.linalg.norm(seq - h, axis=-1).max() <= 1e-4
 
