@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .governor import GovernorState, scalar_rg
-from .harness import sample_safe_states, scalar_rg_grid_oracle
+from .governor import GovernorState, command_governor, scalar_rg
+from .harness import command_governor_grid_oracle, sample_safe_states, scalar_rg_grid_oracle
 from .safeset import SafeSet
+
+COMMAND_ORACLE_POINTS = 1_000_000  # lattice of the window for the command-governor oracle
 
 
 def check_steady_state_residuals(plant, ctrl, points=200, tol=1e-9):
@@ -145,36 +147,56 @@ def check_delta_ball(safe_set: SafeSet, grid_points=181, ring_points=24):
 
 
 def check_governor_maximality(safe_set: SafeSet, n_instances=1000, seed=12345,
-                              tol=2e-6, bump=1e-8):
-    """Bisection against the dense-lattice oracle, pass-through, and maximality."""
+                              tol=2e-6, bump=1e-8, governor="scalar"):
+    """The selected governor against its dense-lattice oracle, pass-through,
+    and maximality.
+
+    ``governor`` "scalar": the step fraction beta against
+    ``scalar_rg_grid_oracle`` within ``tol``, and beta + ``bump`` toward r
+    inadmissible.  "command": v against ``command_governor_grid_oracle``
+    within two lattice spacings of the window, and v moved ``bump`` toward
+    r inadmissible.  Both: an admissible r is returned unchanged.
+    """
     rng = np.random.default_rng(seed)
     x, v_prev = sample_safe_states(safe_set, n_instances, rng)
     lo, hi = safe_set.window
     r = rng.uniform(lo, hi, n_instances)
+    if governor == "command":
+        tol = 2.0 * (hi - lo) / (COMMAND_ORACLE_POINTS - 1)
     worst_gap = 0.0
     pass_through_bad = 0
     maximality_bad = 0
     counterexample = None
     for i in range(n_instances):
-        st = GovernorState(v_prev=float(v_prev[i]))
-        v = scalar_rg(x[i], float(r[i]), st, safe_set)
-        beta = st.betas[-1]
-        if bool(safe_set.contains(x[i], float(r[i]))):
-            if v != float(r[i]):
+        ri, vi = float(r[i]), float(v_prev[i])
+        if governor == "command":
+            v = command_governor(x[i], ri, safe_set)
+        else:
+            st = GovernorState(v_prev=vi)
+            v = scalar_rg(x[i], ri, st, safe_set)
+        if bool(safe_set.contains(x[i], ri)):
+            if v != ri:
                 pass_through_bad += 1
             continue
-        beta_star = scalar_rg_grid_oracle(safe_set, x[i], float(r[i]), float(v_prev[i]))
-        gap = abs(beta - beta_star)
+        if governor == "command":
+            got = v
+            best = command_governor_grid_oracle(safe_set, x[i], ri,
+                                                points=COMMAND_ORACLE_POINTS)
+            probe = v + min(bump, abs(ri - v)) * np.sign(ri - v)
+        else:
+            got = st.betas[-1]
+            best = scalar_rg_grid_oracle(safe_set, x[i], ri, vi)
+            probe = vi + min(got + bump, 1.0) * (ri - vi) if got < 1.0 else None
+        # best is None when no lattice point is admissible
+        gap = abs(got - best) if best is not None else np.inf
         if gap > worst_gap:
             worst_gap = gap
             if gap > tol:
-                counterexample = {"x": x[i].tolist(), "r": float(r[i]),
-                                  "v_prev": float(v_prev[i]), "beta": beta,
-                                  "beta_oracle": beta_star}
-        if beta < 1.0:
-            probe = v_prev[i] + min(beta + bump, 1.0) * (r[i] - v_prev[i])
-            if bool(safe_set.contains(x[i], float(probe))):
-                maximality_bad += 1
+                name = "v" if governor == "command" else "beta"
+                counterexample = {"x": x[i].tolist(), "r": ri, "v_prev": vi,
+                                  name: got, f"{name}_oracle": best}
+        if probe is not None and bool(safe_set.contains(x[i], float(probe))):
+            maximality_bad += 1
     return {
         "passed": worst_gap <= tol and pass_through_bad == 0 and maximality_bad == 0,
         "worst_gap": worst_gap,

@@ -93,7 +93,7 @@ def cmd_simulate(args) -> int:
     ledger = _run_one(bundle, cfg)
     cert = estimate_certificate(
         bundle.plant, bundle.ctrl, bundle.safe_set, bundle.schedule,
-        SamplingPlan(seed=cfg.seed, extra_states=_harvest(ledger)))
+        SamplingPlan(seed=cfg.seed, extra_states=_harvest(ledger)), gamma=cfg.step_size)
     bound = verify_regret_bound(ledger, cert, bundle.ctrl)
     windows = lyapunov_window_diagnostics(ledger, cert)
     report = {
@@ -197,7 +197,7 @@ def cmd_verify(args) -> int:
         bundle.safe_set, seed=cfg.seed), False)
     results["delta_ball"] = (check_delta_ball(bundle.safe_set), False)
     results["governor_maximality"] = (check_governor_maximality(
-        bundle.safe_set, seed=cfg.seed), False)
+        bundle.safe_set, seed=cfg.seed, governor=cfg.governor), False)
     results["causality"] = (check_causality(ledger), False)
     adv = adversarial_lower_bound(bundle.plant, bundle.ctrl, "scripted", T=min(cfg.steps, 400))
     results["adversarial_floor"] = ({
@@ -206,7 +206,7 @@ def cmd_verify(args) -> int:
     try:
         cert = estimate_certificate(
             bundle.plant, bundle.ctrl, bundle.safe_set, bundle.schedule,
-            SamplingPlan(seed=cfg.seed, extra_states=_harvest(ledger)))
+            SamplingPlan(seed=cfg.seed, extra_states=_harvest(ledger)), gamma=cfg.step_size)
     except Exception as exc:
         cert = None
         results["certificate"] = ({"passed": False, "error": str(exc)}, False)
@@ -255,7 +255,8 @@ def cmd_constants(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     bundle = build_scenario(cfg)
     cert = estimate_certificate(bundle.plant, bundle.ctrl, bundle.safe_set,
-                                bundle.schedule, SamplingPlan(seed=cfg.seed))
+                                bundle.schedule, SamplingPlan(seed=cfg.seed),
+                                gamma=cfg.step_size)
     _json_dump(cert.as_dict(), out / "certificate.json")
     vgrid = bundle.ctrl.ss.grid(cfg.grid_points)
     gamma = np.asarray(compute_gamma(vgrid, bundle.poly, bundle.ctrl), dtype=float)

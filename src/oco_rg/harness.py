@@ -641,8 +641,12 @@ def estimate_ogd_kappa(ctrl: TrackingController, gamma, q_range=(50.0, 250.0),
 
 
 def estimate_certificate(plant: Plant, ctrl: TrackingController, safe_set: SafeSet,
-                         schedule, plan: SamplingPlan | None = None) -> Certificate:
+                         schedule, plan: SamplingPlan | None = None,
+                         gamma=2.5e-4) -> Certificate:
     """Fit the envelope and assemble every regret-bound constant.
+
+    ``gamma`` is the step size of the online gradient update whose one-step
+    contraction ``kappa_ogd`` is estimated (reactor cost schedules only).
 
     The exponential envelope is fitted over constant-reference rollouts from
     sampled safe states (plus any caller-harvested trajectory states); all
@@ -725,7 +729,7 @@ def estimate_certificate(plant: Plant, ctrl: TrackingController, safe_set: SafeS
 
     kappa_ogd = None
     if isinstance(schedule, CstrCostSchedule):
-        kappa_ogd = estimate_ogd_kappa(ctrl, gamma=2.5e-4)
+        kappa_ogd = estimate_ogd_kappa(ctrl, gamma=gamma)
 
     return Certificate(
         l=l, l_f=l_f, l_g=l_g, l_h=l_h, l_s=l_s, l_s_bound=l_s_bound,

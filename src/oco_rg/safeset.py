@@ -85,21 +85,41 @@ class SafeSet:
         self.level_scale = float(level_scale)
         self._level_value = level_value
         self.certificate = certificate
+        # one-state, one-reference queries on a fixed level skip numpy dispatch
+        self._scalar_V = ctrl.scalar_lyapunov if kind == "fixed" else None
 
     @property
     def window(self):
         return self.ctrl.ss.window
 
-    def level(self, v):
+    def _check_window(self, v):
+        """Raise ReferenceWindowError unless every v is in the window; NaN is not."""
         lo, hi = self.window
-        if np.any(np.asarray(v) < lo - 1e-9) or np.any(np.asarray(v) > hi + 1e-9):
+        if isinstance(v, float):
+            inside = lo - 1e-9 <= v <= hi + 1e-9
+        else:
+            v_arr = np.asarray(v)
+            inside = np.all((v_arr >= lo - 1e-9) & (v_arr <= hi + 1e-9))
+        if not inside:
             raise ReferenceWindowError(f"reference {v} outside window [{lo}, {hi}]")
+
+    def level(self, v):
+        self._check_window(v)
         if self.kind == "fixed":
             return self.level_scale * self._level_value * np.ones_like(np.asarray(v, dtype=float))
         return self.level_scale * compute_gamma(v, self.poly, self.ctrl)
 
     def contains(self, x, v):
-        """Membership V(x, v) <= level(v); boolean, broadcast over batches."""
+        """Membership V(x, v) <= level(v); boolean, broadcast over batches.
+
+        One 1-D state with one float reference on a fixed level goes through
+        the controller's ``scalar_lyapunov``, which gives the same bits as
+        the array path.
+        """
+        if (self._scalar_V is not None and isinstance(v, float)
+                and isinstance(x, np.ndarray) and x.ndim == 1):
+            self._check_window(v)
+            return self._scalar_V(x, v) <= self.level_scale * self._level_value
         lev = self.level(v)
         return self.ctrl.lyapunov(x, v) <= lev
 

@@ -191,6 +191,17 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigError("level_scale must be positive")
     if cfg.grid_points < 2:
         raise ConfigError("grid_points must be >= 2")
+    for attr in ("tau", "step_size", "q_period", "memory_target_period"):
+        if not getattr(cfg, attr) > 0:
+            raise ConfigError(f"{attr} must be positive, got {getattr(cfg, attr)!r}")
+    for name in ("c", "theta", "u"):
+        lo, hi = getattr(cfg, f"{name}_min"), getattr(cfg, f"{name}_max")
+        if not lo <= hi:
+            raise ConfigError(f"constraint interval [{name}_min, {name}_max] = "
+                              f"[{lo}, {hi}] is empty")
+    if cfg.plant_kind == "cstr" and len(cfg.x0) != 2:
+        raise ConfigError(f"x0 must have 2 entries (c, theta) for the reactor, "
+                          f"got {len(cfg.x0)}")
 
 
 @dataclass

@@ -287,20 +287,58 @@ def build_gain_schedule(plant: Plant, ss: SteadyStateMap, Q, R, grid_points=181)
     return GainSchedule(vgrid=vgrid, Ks=Ks, Ps=Ps)
 
 
+def cstr_lyapunov_kernel(sched: GainSchedule, params: CstrParams):
+    """Plain-float V(x, v) of the reactor for one state and one reference.
+
+    ``x`` is a 1-D array of length 2 and ``v`` a float inside the window
+    (not checked).  The result equals ``TrackingController.lyapunov(x, v)``
+    bit for bit: c(v) comes from ``cstr_equilibrium`` with np.exp (math.exp
+    differs in the last bit), P(v) is blended and symmetrized entry by
+    entry as in ``GainSchedule.lyap_weight``, and the quadratic form is
+    summed in the order einsum sums it.
+    """
+    Ps = [tuple(P.ravel().tolist()) for P in sched.Ps]
+    lo, hi = float(sched.vgrid[0]), float(sched.vgrid[-1])
+    cell = (hi - lo) / (len(sched.vgrid) - 1)
+    top = len(sched.vgrid) - 1 - 1e-12
+
+    def lyapunov(x, v):
+        pos = min(max((v - lo) / cell, 0.0), top)
+        i = int(pos)
+        w = pos - i
+        u = 1.0 - w
+        a00, a01, a10, a11 = Ps[i]
+        b00, b01, b10, b11 = Ps[i + 1]
+        # 0.5 (p + p) is p exactly, and 0.5 (p01 + p10) is symmetric
+        q00 = u * a00 + w * b00
+        q01 = 0.5 * ((u * a01 + w * b01) + (u * a10 + w * b10))
+        q11 = u * a11 + w * b11
+        x0, x1 = x.tolist()
+        e0 = x0 - float(cstr_equilibrium(v, params, order=0))
+        e1 = x1 - v
+        return ((e0 * q00) * e0 + (e0 * q01) * e1) + ((e1 * q01) * e0 + (e1 * q11) * e1)
+
+    return lyapunov
+
+
 class TrackingController:
     """Reference-scheduled feedback u = u_ss(v) + K(v)(x - h(v)).
 
     Bundles the plant, the steady-state map, and schedules for the gain
     K(v) and the quadratic Lyapunov weight P(v).  Immutable after
     construction; every method broadcasts over leading batch axes and
-    returns scalar u for single-input plants.
+    returns scalar u for single-input plants.  ``scalar_lyapunov``, when
+    present, is a plain-float V(x, v) for one 1-D state and one float
+    reference that equals ``lyapunov`` bit for bit.
     """
 
-    def __init__(self, plant: Plant, ss: SteadyStateMap, gain_of, lyap_of):
+    def __init__(self, plant: Plant, ss: SteadyStateMap, gain_of, lyap_of,
+                 scalar_lyapunov=None):
         self.plant = plant
         self.ss = ss
         self._gain_of = gain_of
         self._lyap_of = lyap_of
+        self.scalar_lyapunov = scalar_lyapunov
 
     def gain(self, v):
         return self._gain_of(v)
@@ -358,7 +396,9 @@ def build_cstr_controller(
     Q = lqr_q * np.eye(plant.n)
     R = np.array([[lqr_r]])
     sched = build_gain_schedule(plant, ss, Q, R, grid_points)
-    return TrackingController(plant, ss, sched.gain, sched.lyap_weight), sched
+    ctrl = TrackingController(plant, ss, sched.gain, sched.lyap_weight,
+                              scalar_lyapunov=cstr_lyapunov_kernel(sched, params))
+    return ctrl, sched
 
 
 def register_controller(plant: Plant, m: int, p: int, v_lo, v_hi) -> TrackingController:

@@ -7,11 +7,13 @@ from oco_rg import (
     InvarianceViolationError,
     SafeSet,
     SliceNotIntervalError,
+    TrackingController,
     command_governor,
     initialize_governor,
     sample_safe_states,
     scalar_rg,
 )
+from oco_rg import checks
 from oco_rg.harness import command_governor_grid_oracle, scalar_rg_grid_oracle
 
 
@@ -125,6 +127,24 @@ class TestScalarGovernor:
             v = scalar_rg(x[i], float(r[i]), st, cstr.variable)
             assert abs(r[i] - v) <= abs(r[i] - v_prev[i]) + 1e-15
 
+    def test_kernel_matches_array_path(self, cstr):
+        """On the fixed level, scalar_rg gives the same v and beta through the
+        plain-float membership kernel as through the array path alone."""
+        ctrl = cstr.ctrl
+        array_only = SafeSet("fixed", TrackingController(ctrl.plant, ctrl.ss, ctrl.gain,
+                                                         ctrl.lyap_weight),
+                             cstr.poly, level_value=cstr.fixed.certificate.V_max)
+        x, v_prev, r = make_instances(cstr.fixed, 500, seed=84)
+        active = 0
+        for i in range(500):
+            fast = GovernorState(v_prev=float(v_prev[i]))
+            slow = GovernorState(v_prev=float(v_prev[i]))
+            assert (scalar_rg(x[i], float(r[i]), fast, cstr.fixed)
+                    == scalar_rg(x[i], float(r[i]), slow, array_only))
+            assert fast.betas == slow.betas
+            active += fast.betas[-1] < 1.0
+        assert active >= 300
+
     def test_invariance_violation_detected(self, cstr):
         x_bad = np.array([0.9, 0.45])  # far outside every slice
         st = GovernorState(v_prev=0.6)
@@ -191,6 +211,28 @@ class TestCommandGovernor:
             v_seg = scalar_rg(x[i], float(r[i]), st, cstr.variable)
             v_proj = command_governor(x[i], float(r[i]), cstr.variable)
             assert abs(v_seg - v_proj) <= 5e-6
+
+
+class TestMaximalityCheck:
+    def test_command_governor_passes(self, cstr):
+        res = checks.check_governor_maximality(cstr.fixed, n_instances=60, governor="command")
+        assert res["passed"], res
+        assert 0.0 < res["worst_gap"]
+
+    def test_mutated_command_governor_fails(self, cstr, monkeypatch):
+        def slice_midpoint(x, r, safe_set):
+            if bool(safe_set.contains(x, r)):
+                return r
+            a, b = safe_set.cross_section_v(x)
+            return 0.5 * (a + b)
+
+        monkeypatch.setattr(checks, "command_governor", slice_midpoint)
+        res = checks.check_governor_maximality(cstr.fixed, n_instances=60, governor="command")
+        assert not res["passed"]
+        assert res["worst_gap"] > 1e-3 and res["counterexample"]["v_oracle"] is not None
+        assert res["pass_through_failures"] == 0
+        # the scalar governor's check never calls the command governor
+        assert checks.check_governor_maximality(cstr.fixed, n_instances=60)["passed"]
 
 
 class TestInitialization:

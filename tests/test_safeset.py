@@ -6,11 +6,16 @@ from oco_rg import (
     Plant,
     ReferenceInfeasibleError,
     ReferenceWindowError,
+    SafeSet,
     SteadyStateMap,
     TrackingController,
+    box_polytope,
     calibrate_fixed_level,
     compute_gamma,
+    fixed_level_set,
+    register_controller,
     sample_safe_states,
+    shift_register_plant,
 )
 
 
@@ -186,3 +191,106 @@ class TestCrossSections:
     def test_empty_section_returns_none(self, cstr):
         x_far = np.array([0.99, 0.99])
         assert cstr.variable.cross_section_v(x_far) is None
+
+
+def kernel_points(cstr, n_random=10_000, seed=7):
+    """(x, v) pairs for the plain-float kernel: every grid node, both window
+    ends and just past them (where the blend position is clipped), and
+    random references, each with a state on a random ray from h(v) at 0.5
+    to 1.5 times the fixed-level boundary distance, a quarter of them within
+    1e-9 of the boundary."""
+    ctrl = cstr.ctrl
+    lo, hi = ctrl.ss.window
+    rng = np.random.default_rng(seed)
+    v = np.concatenate([ctrl.ss.grid(cstr.cfg.grid_points),
+                        [lo, hi, lo - 5e-10, hi + 5e-10],
+                        rng.uniform(lo, hi, n_random)])
+    ang = rng.uniform(0.0, 2.0 * np.pi, v.size)
+    d = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    dPd = np.einsum("ki,kij,kj->k", d, ctrl.lyap_weight(v), d)
+    factor = np.where(rng.uniform(size=v.size) < 0.25,
+                      1.0 + rng.uniform(-1e-9, 1e-9, v.size),
+                      rng.uniform(0.5, 1.5, v.size))
+    x = ctrl.ss.h(v) + (np.sqrt(cstr.fixed.certificate.V_max / dPd) * factor)[:, None] * d
+    return x, v
+
+
+def spy_safe_set(cstr, kind):
+    """A safe set on the reactor controller whose scalar kernel logs its calls."""
+    calls = []
+    ctrl = cstr.ctrl
+
+    def spy(x, v):
+        calls.append(v)
+        return ctrl.scalar_lyapunov(x, v)
+
+    spied = TrackingController(ctrl.plant, ctrl.ss, ctrl.gain, ctrl.lyap_weight,
+                               scalar_lyapunov=spy)
+    return SafeSet(kind, spied, cstr.poly, level_value=cstr.fixed.certificate.V_max), calls
+
+
+class TestScalarKernel:
+    """The plain-float V(x, v) must give the array path's bits: a numpy
+    upgrade that changes how einsum sums fails here instead of moving the
+    governor's results quietly."""
+
+    def test_kernel_equals_lyapunov(self, cstr):
+        x, v = kernel_points(cstr)
+        kernel = cstr.ctrl.scalar_lyapunov
+        mismatches = [k for k in range(v.size)
+                      if kernel(x[k], float(v[k])) != cstr.ctrl.lyapunov(x[k], float(v[k]))]
+        assert v.size > 10_000
+        assert mismatches == []
+
+    def test_membership_equals_array_path(self, cstr):
+        x, v = kernel_points(cstr)
+        fast = [bool(cstr.fixed.contains(x[k], v[k])) for k in range(v.size)]
+        slow = [bool(cstr.fixed.contains(x[k], np.asarray(v[k]))) for k in range(v.size)]
+        assert fast == slow
+        assert 0.2 * v.size < sum(fast) < 0.8 * v.size
+
+    def test_float_references_take_kernel(self, cstr):
+        safe_set, calls = spy_safe_set(cstr, "fixed")
+        x = cstr.ctrl.ss.h(0.6)
+        assert safe_set.contains(x, 0.6) and safe_set.contains(x, np.float64(0.6))
+        assert len(calls) == 2
+        assert isinstance(calls[1], np.float64)
+
+    def test_batches_and_arrays_keep_array_path(self, cstr):
+        safe_set, calls = spy_safe_set(cstr, "fixed")
+        x = cstr.ctrl.ss.h(0.6) + np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.01]])
+        out = safe_set.contains(x, 0.6)
+        assert out.shape == (3,)
+        assert out.tolist() == [bool(safe_set.contains(row, 0.6)) for row in x]
+        calls.clear()
+        safe_set.contains(x[0], np.asarray(0.6))
+        safe_set.contains(x, np.full(3, 0.6))
+        assert calls == []
+
+    def test_variable_and_register_sets_never_take_kernel(self, cstr):
+        variable, calls = spy_safe_set(cstr, "variable")
+        assert variable.contains(cstr.ctrl.ss.h(0.6), 0.6)
+        assert calls == []
+        plant = shift_register_plant(1, 1)
+        ctrl = register_controller(plant, 1, 1, -0.9, 0.9)
+        assert ctrl.scalar_lyapunov is None
+        register = fixed_level_set(box_polytope([(None, None)], [(-1.0, 1.0)]), ctrl,
+                                   grid_points=21)
+        assert register.contains(np.array([0.3]), 0.2)
+
+    def test_out_of_window_raises(self, cstr):
+        safe_set, calls = spy_safe_set(cstr, "fixed")
+        x = cstr.ctrl.ss.h(0.6)
+        for v in (0.95, 0.4 - 2e-9, np.float64(0.85 + 2e-9)):
+            with pytest.raises(ReferenceWindowError):
+                safe_set.contains(x, v)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["fixed", "variable"])
+    def test_nan_reference_raises(self, cstr, kind):
+        safe_set, calls = spy_safe_set(cstr, kind)
+        x = cstr.ctrl.ss.h(0.6)
+        for v in (float("nan"), np.float64("nan"), np.asarray(np.nan), np.array([0.6, np.nan])):
+            with pytest.raises(ReferenceWindowError):
+                safe_set.contains(x, v)
+        assert calls == []

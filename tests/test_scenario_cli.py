@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from oco_rg import ConfigError, ScenarioConfig, load_config
+from oco_rg import ConfigError, ScenarioConfig, build_scenario, load_config
+from oco_rg.harness import estimate_ogd_kappa
 from oco_rg.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -88,6 +89,25 @@ class TestSimulate:
     def test_malformed_config_exits_two(self, tmp_path):
         cfg = write(tmp_path, "[run]\nsteps = never\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("entries, key", [
+        ("[schedule]\nq_period = 0", "q_period"),
+        ("[oco]\nstep_size = -1", "step_size"),
+        ("[plant]\ntau = -0.1", "tau"),
+        ("[plant]\nx0 = 0.2632 0.6519 0.1", "x0"),
+        ("[constraints]\nu_min = 3.0\nu_max = 2.0", "u_min"),
+        ("[schedule]\nmemory_target_period = 0", "memory_target_period"),
+    ], ids=["q_period", "step_size", "tau", "x0", "empty_interval", "memory_target_period"])
+    def test_out_of_range_value_exits_two(self, tmp_path, capsys, entries, key):
+        cfg = write(tmp_path, f"{entries}\n[run]\nsteps = 50\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_box_infeasible_at_steady_state_exits_one(self, tmp_path, capsys):
+        # a non-empty input interval that no steady state satisfies
+        cfg = write(tmp_path, "[constraints]\nu_min = 1.9\n[run]\nsteps = 50\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 1
+        assert "steady-state margin" in capsys.readouterr().err
 
     def test_infeasible_start_exits_one(self, tmp_path):
         # start state far from the steady state of r0: initialization fails
@@ -180,6 +200,16 @@ class TestConstants:
         assert "K11" in header and "P12" in header
         first = [float(tok) for tok in table[1].split(",")]
         assert first[2] > 0.0  # V_max
+
+    def test_certificate_uses_configured_step_size(self, tmp_path):
+        text = FAST_CSTR + "\n[oco]\nstep_size = 1e-3\n"
+        out = tmp_path / "step"
+        assert main(["constants", "--config", str(write(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        ctrl = build_scenario(load_config(tmp_path / "scenario.ini")).ctrl
+        assert cert["kappa_ogd"] == estimate_ogd_kappa(ctrl, gamma=1e-3)
+        assert cert["kappa_ogd"] != estimate_ogd_kappa(ctrl, gamma=2.5e-4)
 
     def test_reruns_identical(self, tmp_path):
         cfg = write(tmp_path, FAST_CSTR)
