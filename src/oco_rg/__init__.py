@@ -48,7 +48,6 @@ from .safeset import (
 )
 from .governor import (
     GovernorInfeasibleError,
-    GovernorState,
     InitializationInfeasibleError,
     InvarianceViolationError,
     command_governor,

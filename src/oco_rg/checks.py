@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .governor import GovernorState, command_governor, scalar_rg
+from .governor import command_governor, scalar_rg
 from .harness import command_governor_grid_oracle, sample_safe_states, scalar_rg_grid_oracle
 from .safeset import SafeSet
 
@@ -170,21 +170,18 @@ def check_governor_maximality(safe_set: SafeSet, n_instances=1000, seed=12345,
     for i in range(n_instances):
         ri, vi = float(r[i]), float(v_prev[i])
         if governor == "command":
-            v = command_governor(x[i], ri, safe_set)
+            v = got = command_governor(x[i], ri, safe_set)
         else:
-            st = GovernorState(v_prev=vi)
-            v = scalar_rg(x[i], ri, st, safe_set)
+            v, got = scalar_rg(x[i], ri, vi, safe_set)
         if bool(safe_set.contains(x[i], ri)):
             if v != ri:
                 pass_through_bad += 1
             continue
         if governor == "command":
-            got = v
             best = command_governor_grid_oracle(safe_set, x[i], ri,
                                                 points=COMMAND_ORACLE_POINTS)
             probe = v + min(bump, abs(ri - v)) * np.sign(ri - v)
         else:
-            got = st.betas[-1]
             best = scalar_rg_grid_oracle(safe_set, x[i], ri, vi)
             probe = vi + min(got + bump, 1.0) * (ri - vi) if got < 1.0 else None
         # best is None when no lattice point is admissible

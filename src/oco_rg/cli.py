@@ -105,6 +105,7 @@ def cmd_simulate(args) -> int:
             "path_length": ledger.path_length,
         },
         "violations": ledger.violations,
+        "invariance_breaks": ledger.invariance_breaks,
         "certificate": cert.as_dict(),
         "checks": {
             "regret_bound": bound,
@@ -143,20 +144,14 @@ def cmd_table1(args) -> int:
     fixed = build_scenario(cfg, safe_set_kind="fixed")
     bundles = {"fixed": fixed, "variable": with_safe_set(fixed, "variable")}
 
-    def run(combo):
-        oco, ss = combo
-        return combo, run_closed_loop(
-            bundles[ss].plant, bundles[ss].ctrl, bundles[ss].safe_set, cfg.governor,
-            oco, bundles[ss].schedule, T=cfg.steps, r0=cfg.r0,
-            gamma=cfg.step_size, grad_tol=cfg.grad_tolerance)
-
     rows = {}
     failed = []
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        for future in [pool.submit(run, combo) for combo in combos]:
+        futures = {combo: pool.submit(_run_one, bundles[combo[1]], cfg, combo[0])
+                   for combo in combos}
+        for combo, future in futures.items():
             try:
-                combo, ledger = future.result()
-                rows[combo] = ledger
+                rows[combo] = future.result()
             except Exception as exc:  # partial table still reported
                 failed.append(str(exc))
     if failed:
@@ -191,8 +186,10 @@ def cmd_verify(args) -> int:
     results = {}
     results["steady_states"] = (check_steady_state_residuals(bundle.plant, bundle.ctrl), False)
     ledger = _run_one(bundle, cfg)
-    results["zero_violations"] = ({"passed": ledger.violations == 0,
-                                   "violations": ledger.violations}, False)
+    results["zero_violations"] = ({
+        "passed": ledger.violations == 0 and ledger.invariance_breaks == 0,
+        "violations": ledger.violations,
+        "invariance_breaks": ledger.invariance_breaks}, False)
     results["safe_set_soundness"] = (check_safe_set_soundness(
         bundle.safe_set, seed=cfg.seed), False)
     results["delta_ball"] = (check_delta_ball(bundle.safe_set), False)
@@ -240,7 +237,7 @@ def cmd_verify(args) -> int:
         mem = run_memory_reduction(bundle.schedule, cfg.oco, cfg.steps,
                                    m=cfg.register_m, p=cfg.register_p,
                                    u_lo=cfg.u_min, u_hi=cfg.u_max,
-                                   r0=cfg.r0, seed=cfg.seed)
+                                   r0=cfg.r0, seed=cfg.seed, gamma=cfg.step_size)
         ok = mem["bound"]["holds"]
         print(f"verify {'memory_reduction':24s} {'pass' if ok else 'FAIL':15s} "
               f"margin={mem['bound']['margin']:.6g}")

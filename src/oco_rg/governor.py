@@ -3,12 +3,11 @@
 Both governors guarantee (x_t, v_t) stays in the safe set: the scalar
 governor moves from the previous reference toward the desired one by the
 largest admissible fraction (bisection), the command governor projects the
-desired reference onto the admissible slice at the current state.
+desired reference onto the admissible slice at the current state.  Neither
+keeps state: the caller carries v from one step to the next.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .safeset import SafeSet, SliceNotIntervalError
 
@@ -27,38 +26,27 @@ class InitializationInfeasibleError(ValueError):
     """Initial (x0, r0) is not in the safe set."""
 
 
-@dataclass
-class GovernorState:
-    """Mutable per-run state: previous reference and the step fractions beta."""
-
-    v_prev: float
-    betas: list = field(default_factory=list)
-
-
-def initialize_governor(x0, r0, safe_set: SafeSet) -> GovernorState:
-    """Start the governor at v_0 = r_0, requiring (x0, r0) to be safe."""
+def initialize_governor(x0, r0, safe_set: SafeSet) -> float:
+    """The first reference v_0 = r_0, requiring (x0, r0) to be safe."""
     V0 = float(safe_set.ctrl.lyapunov(x0, r0))
     lev = float(safe_set.level(r0))
     if V0 > lev:
         raise InitializationInfeasibleError(
             f"initial reference infeasible: V(x0, r0) = {V0:.6g} exceeds level {lev:.6g}"
         )
-    return GovernorState(v_prev=float(r0))
+    return float(r0)
 
 
-def scalar_rg(x, r, state: GovernorState, safe_set: SafeSet):
+def scalar_rg(x, r, v_prev, safe_set: SafeSet):
     """Largest admissible step along the segment from v_prev toward r.
 
-    Returns v = v_prev + beta (r - v_prev) with beta the largest value in
-    [0, 1] keeping (x, v) safe: beta = 1 exactly when r itself is
-    admissible, otherwise bisection to |beta - beta*| <= 1e-10.
+    Returns (v, beta) with v = v_prev + beta (r - v_prev) and beta the
+    largest value in [0, 1] keeping (x, v) safe: beta = 1 exactly when r
+    itself is admissible, otherwise bisection to |beta - beta*| <= 1e-10.
     """
     r = float(r)
-    v_prev = state.v_prev
     if bool(safe_set.contains(x, r)):
-        state.v_prev = r
-        state.betas.append(1.0)
-        return r
+        return r, 1.0
     if not bool(safe_set.contains(x, v_prev)):
         raise InvarianceViolationError(
             f"(x, v_prev = {v_prev:.6g}) left the safe set; "
@@ -72,10 +60,7 @@ def scalar_rg(x, r, state: GovernorState, safe_set: SafeSet):
             lo = mid
         else:
             hi = mid
-    v = v_prev + lo * (r - v_prev)
-    state.betas.append(lo)
-    state.v_prev = v
-    return v
+    return v_prev + lo * (r - v_prev), lo
 
 
 def command_governor(x, r, safe_set: SafeSet):

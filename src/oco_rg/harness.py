@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .governor import GovernorState, command_governor, initialize_governor, scalar_rg
+from .governor import command_governor, initialize_governor, scalar_rg
 from .oco import (
     AdversarialCostSchedule,
     CstrCostSchedule,
@@ -80,55 +80,44 @@ def kahan_total(values):
 
 
 class RegretLedger:
-    """Per-step records of a closed-loop run plus running regret sums."""
+    """Per-step records of a closed-loop run plus running regret sums.
+
+    Each name in COLUMNS is one float per step, kept as a list attribute of
+    that name; ``t``, ``x``, ``oco_ns`` and ``rg_ns`` are kept beside them.
+    """
+
+    COLUMNS = ("u", "r", "v", "eta", "beta", "L_stage", "Ls_r", "Ls_v", "Ls_eta",
+               "V", "level", "margin_worst")
 
     def __init__(self, state_labels=("c", "theta")):
         self.state_labels = tuple(state_labels)
-        self.t = []
-        self.x = []
-        self.u = []
-        self.r = []
-        self.v = []
-        self.eta = []
-        self.beta = []
-        self.L_stage = []
-        self.Ls_r = []
-        self.Ls_v = []
-        self.Ls_eta = []
-        self.V_quad = []
-        self.level = []
-        self.margin_worst = []
-        self.oco_ns = []
-        self.rg_ns = []
+        self.t, self.x, self.oco_ns, self.rg_ns = [], [], [], []
+        self._columns = tuple([] for _ in self.COLUMNS)
+        for name, column in zip(self.COLUMNS, self._columns):
+            setattr(self, name, column)
         self.violations = 0
+        self.invariance_breaks = 0
         self._acc_stage = KahanSum()
         self._acc_ls_r = KahanSum()
         self._acc_ls_eta = KahanSum()
         self._acc_pl = KahanSum()
 
-    def record(self, t, x, u, r, v, eta, beta, L_stage, Ls_r, Ls_v, Ls_eta,
-               V_quad, level, margin_worst, oco_ns=0, rg_ns=0):
+    def record(self, t, x, oco_ns=0, rg_ns=0, **values):
+        """Append one step; ``values`` holds one float per name in COLUMNS."""
+        row = [float(values[name]) for name in self.COLUMNS]
+        if len(values) != len(row):
+            raise TypeError(f"ledger columns are {self.COLUMNS}, got {sorted(values)}")
         self.t.append(int(t))
         self.x.append(np.asarray(x, dtype=float).copy())
-        self.u.append(float(u))
-        self.r.append(float(r))
-        self.v.append(float(v))
-        self.eta.append(float(eta))
-        self.beta.append(float(beta))
-        self.L_stage.append(float(L_stage))
-        self.Ls_r.append(float(Ls_r))
-        self.Ls_v.append(float(Ls_v))
-        self.Ls_eta.append(float(Ls_eta))
-        self.V_quad.append(float(V_quad))
-        self.level.append(float(level))
-        self.margin_worst.append(float(margin_worst))
         self.oco_ns.append(int(oco_ns))
         self.rg_ns.append(int(rg_ns))
-        if margin_worst < 0.0:
-            self.violations += 1
-        self._acc_stage.add(float(L_stage))
-        self._acc_ls_r.add(float(Ls_r))
-        self._acc_ls_eta.add(float(Ls_eta))
+        for column, value in zip(self._columns, row):
+            column.append(value)
+        self.violations += self.margin_worst[-1] < 0.0
+        self.invariance_breaks += self.V[-1] > self.level[-1]
+        self._acc_stage.add(self.L_stage[-1])
+        self._acc_ls_r.add(self.Ls_r[-1])
+        self._acc_ls_eta.add(self.Ls_eta[-1])
         if len(self.r) > 1:
             self._acc_pl.add(abs(self.r[-1] - self.r[-2]))
 
@@ -160,37 +149,16 @@ class RegretLedger:
         }
 
     def arrays(self):
-        return {
-            "t": np.array(self.t, dtype=int),
-            "x": np.array(self.x, dtype=float),
-            "u": np.array(self.u, dtype=float),
-            "r": np.array(self.r, dtype=float),
-            "v": np.array(self.v, dtype=float),
-            "eta": np.array(self.eta, dtype=float),
-            "beta": np.array(self.beta, dtype=float),
-            "L_stage": np.array(self.L_stage, dtype=float),
-            "Ls_r": np.array(self.Ls_r, dtype=float),
-            "Ls_v": np.array(self.Ls_v, dtype=float),
-            "Ls_eta": np.array(self.Ls_eta, dtype=float),
-            "V": np.array(self.V_quad, dtype=float),
-            "level": np.array(self.level, dtype=float),
-            "margin_worst": np.array(self.margin_worst, dtype=float),
-        }
+        out = {"t": np.array(self.t, dtype=int), "x": np.array(self.x, dtype=float)}
+        for name, column in zip(self.COLUMNS, self._columns):
+            out[name] = np.array(column, dtype=float)
+        return out
 
     def to_csv(self, path):
         """Trajectory table, full double precision, one row per step."""
-        cols = list(self.state_labels) + [
-            "u", "r", "v", "eta", "beta", "L_stage", "Ls_r", "Ls_v", "Ls_eta",
-            "V", "level", "margin_worst",
-        ]
-        header = "t," + ",".join(cols)
-        lines = [header]
+        lines = ["t," + ",".join(self.state_labels + self.COLUMNS)]
         for i in range(self.steps):
-            vals = list(self.x[i]) + [
-                self.u[i], self.r[i], self.v[i], self.eta[i], self.beta[i],
-                self.L_stage[i], self.Ls_r[i], self.Ls_v[i], self.Ls_eta[i],
-                self.V_quad[i], self.level[i], self.margin_worst[i],
-            ]
+            vals = list(self.x[i]) + [column[i] for column in self._columns]
             lines.append(str(self.t[i]) + "," + ",".join(format(v, ".17g") for v in vals))
         text = "\n".join(lines) + "\n"
         with open(path, "w") as fh:
@@ -226,7 +194,7 @@ def run_closed_loop(plant: Plant, ctrl: TrackingController, safe_set: SafeSet,
     if oco_kind not in ("ogd", "prev_opt"):
         raise ValueError(f"unknown online-update kind {oco_kind!r}")
     x = np.asarray(plant.x0 if x0 is None else x0, dtype=float)
-    gov = initialize_governor(x, r0, safe_set)
+    v = initialize_governor(x, r0, safe_set)
     oco_state = OcoState(r_prev=float(r0), gamma=gamma, grad_tol=grad_tol)
     ss_cost = SteadyStateCost(schedule, ctrl)
     revealed = InstrumentedCost(ss_cost)
@@ -243,13 +211,9 @@ def run_closed_loop(plant: Plant, ctrl: TrackingController, safe_set: SafeSet,
             r = float(r0) if t == 0 else step_fn(oco_state, revealed, t)
             t1 = time.perf_counter_ns()
             if governor_kind == "scalar":
-                v = scalar_rg(x, r, gov, safe_set)
-                beta = gov.betas[-1]
+                v, beta = scalar_rg(x, r, v, safe_set)
             else:
-                v = command_governor(x, r, safe_set)
-                gov.v_prev = v
-                gov.betas.append(math.nan)
-                beta = math.nan
+                v, beta = command_governor(x, r, safe_set), math.nan
             t2 = time.perf_counter_ns()
             u = float(ctrl.feedback(x, v))
             eta = benchmark_reference(ss_cost, t)
@@ -259,18 +223,15 @@ def run_closed_loop(plant: Plant, ctrl: TrackingController, safe_set: SafeSet,
                 Ls_r=float(ss_cost.eval(t, r)),
                 Ls_v=float(ss_cost.eval(t, v)),
                 Ls_eta=float(ss_cost.eval(t, eta)),
-                V_quad=float(ctrl.lyapunov(x, v)),
+                V=float(ctrl.lyapunov(x, v)),
                 level=float(safe_set.level(v)),
                 margin_worst=float(poly.worst_raw_margin(x, u)),
                 oco_ns=t1 - t0, rg_ns=t2 - t1,
             )
             x = plant.step(x, u)
-        except RunError:
-            raise
         except Exception as exc:
             raise RunError(t, x, str(exc)) from exc
     ledger.causality_log = tuple(revealed.accesses)
-    ledger.governor = gov
     return ledger
 
 
@@ -540,11 +501,10 @@ def probe_governor_contraction(safe_set: SafeSet, n_probes, rng):
     r = rng.uniform(lo, hi, n_probes)
     alphas, betas = [], []
     for i in range(n_probes):
-        st = GovernorState(v_prev=float(v_prev[i]))
-        v = scalar_rg(x[i], float(r[i]), st, safe_set)
-        if st.betas[-1] < 1.0:
+        v, beta = scalar_rg(x[i], float(r[i]), float(v_prev[i]), safe_set)
+        if beta < 1.0:
             alphas.append(abs(v - v_prev[i]))
-            betas.append(st.betas[-1])
+            betas.append(beta)
     return np.array(alphas), np.array(betas)
 
 
@@ -619,13 +579,20 @@ class Certificate:
         return out
 
 
-def estimate_ogd_kappa(ctrl: TrackingController, gamma, q_range=(50.0, 250.0),
-                       cbar_range=(0.25, 0.65), grid=20, r_points=25):
-    """Worst one-step contraction of projected gradient descent on frozen costs."""
+def estimate_ogd_kappa(ctrl: TrackingController, schedule: CstrCostSchedule, gamma,
+                       grid=20, r_points=25):
+    """Worst one-step contraction of projected gradient descent on frozen costs.
+
+    The frozen costs span the schedule's ranges: weights q_offset +-
+    q_amplitude and targets between the smallest and largest of cbar_initial,
+    cbar_high and cbar_final.
+    """
     lo, hi = ctrl.ss.window
+    q_mid, q_amp = schedule.q_offset, schedule.q_amplitude
+    cbars = (schedule.cbar_initial, schedule.cbar_high, schedule.cbar_final)
     worst = 0.0
-    for q in np.linspace(*q_range, grid):
-        for cb in np.linspace(*cbar_range, grid):
+    for q in np.linspace(q_mid - q_amp, q_mid + q_amp, grid):
+        for cb in np.linspace(min(cbars), max(cbars), grid):
             sched = CstrCostSchedule(horizon=1, q_offset=float(q), q_amplitude=0.0,
                                      cbar_initial=float(cb), cbar_high=float(cb),
                                      cbar_final=float(cb))
@@ -729,7 +696,7 @@ def estimate_certificate(plant: Plant, ctrl: TrackingController, safe_set: SafeS
 
     kappa_ogd = None
     if isinstance(schedule, CstrCostSchedule):
-        kappa_ogd = estimate_ogd_kappa(ctrl, gamma=gamma)
+        kappa_ogd = estimate_ogd_kappa(ctrl, schedule, gamma=gamma)
 
     return Certificate(
         l=l, l_f=l_f, l_g=l_g, l_h=l_h, l_s=l_s, l_s_bound=l_s_bound,
@@ -809,8 +776,7 @@ def lyapunov_window_diagnostics(ledger: RegretLedger, cert: Certificate,
     Verifies V(x_t2, v_t2) <= lam_tilde^(t2-t1) V(x_t1, v_t1) + l_V *
     sum_i ||v_i - v_{i-1}|| lam_tilde^(t2-i) for every window of length at
     most max_gap, plus the uniform bound V <= V_bar, using the
-    trajectory-sum Lyapunov function.  Also reports the governor-activity
-    product over sliding windows with the empirical contraction envelope.
+    trajectory-sum Lyapunov function.
     """
     arr = ledger.arrays()
     x, v = arr["x"], arr["v"]
@@ -835,15 +801,6 @@ def lyapunov_window_diagnostics(ledger: RegretLedger, cert: Certificate,
         for i in bad[:3]:
             failures.append({"tau1": int(i), "tau2": int(i + g), "deficit": float(-margin[i])})
     vbar_ok = bool(np.max(Vt) <= cert.V_bar + slack)
-
-    # governor-activity product over sliding windows (diagnostic)
-    betas = arr["beta"]
-    rho_vals = np.where(np.isnan(betas) | (betas >= 1.0), cert.epsilon, betas)
-    width = min(cert.window_M + 1, T)
-    log_factors = np.log(np.clip(1.0 - rho_vals, 1e-300, 1.0))
-    csum = np.concatenate([[0.0], np.cumsum(log_factors)])
-    window_logs = csum[width:] - csum[:-width] if T >= width else np.array([csum[-1]])
-    product_max = float(np.exp(window_logs.max())) if window_logs.size else 1.0
     return {
         "recursion_holds": not failures,
         "worst_margin": worst,
@@ -851,8 +808,6 @@ def lyapunov_window_diagnostics(ledger: RegretLedger, cert: Certificate,
         "vbar_holds": vbar_ok,
         "v_max_seen": float(np.max(Vt)),
         "V_bar": cert.V_bar,
-        "activity_product_max": product_max,
-        "activity_target": 1.0 - cert.epsilon,
     }
 
 
@@ -909,13 +864,14 @@ def adversarial_lower_bound(plant: Plant, ctrl: TrackingController, oco_kind: st
 
 def run_memory_reduction(schedule: MemoryCostSchedule, oco_kind: str, T: int,
                          m=1, p=1, u_lo=-1.0, u_hi=1.0, window_shrink=0.9,
-                         r0=0.0, seed=12345):
+                         r0=0.0, seed=12345, gamma=2.5e-4):
     """Embed a memory-cost problem in the framework via the shift register.
 
     Constraints act on the input only, so the per-reference level is
     unbounded, the governor passes references through, and u_t = r_t as the
-    reduction prescribes.  Returns the ledger, the register certificate,
-    and the regret-bound evaluation.
+    reduction prescribes.  ``gamma`` is the step size of the online gradient
+    update.  Returns the ledger, the register certificate, and the
+    regret-bound evaluation.
     """
     plant = shift_register_plant(m, p, x0=np.full(m * p, r0))
     lo = u_lo * window_shrink
@@ -924,7 +880,7 @@ def run_memory_reduction(schedule: MemoryCostSchedule, oco_kind: str, T: int,
     poly = box_polytope([(None, None)] * (m * p), [(u_lo, u_hi)] * m)
     safe_set = variable_level_set(poly, ctrl, grid_points=51)
     ledger = run_closed_loop(plant, ctrl, safe_set, "scalar", oco_kind, schedule,
-                             T=T, r0=r0)
+                             T=T, r0=r0, gamma=gamma)
     cert = estimate_certificate(plant, ctrl, safe_set, schedule,
                                 SamplingPlan(n_samples=400, seed=seed, horizon=max(4 * p, 12)))
     bound = verify_regret_bound(ledger, cert, ctrl)

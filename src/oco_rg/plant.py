@@ -174,7 +174,7 @@ class ConstraintPolytope:
         return G, margins
 
 
-def box_polytope(x_bounds, u_bounds, labels=True) -> ConstraintPolytope:
+def box_polytope(x_bounds, u_bounds) -> ConstraintPolytope:
     """Axis-aligned box constraints as a polytope.
 
     x_bounds / u_bounds are sequences of (lo, hi) per coordinate; None for
@@ -208,7 +208,7 @@ def box_polytope(x_bounds, u_bounds, labels=True) -> ConstraintPolytope:
         Ax=np.array(rows_Ax),
         Au=np.array(rows_Au),
         b=np.array(rows_b),
-        row_labels=tuple(names) if labels else (),
+        row_labels=tuple(names),
     )
 
 

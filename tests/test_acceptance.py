@@ -9,7 +9,6 @@ import time
 import numpy as np
 from oco_rg import (
     CstrParams,
-    GovernorState,
     MemoryCostSchedule,
     ScenarioConfig,
     SteadyStateCost,
@@ -126,9 +125,7 @@ def test_06_governor_maximality(cstr):
     pass_bad = max_bad = 0
     binding = 0
     for i in range(1000):
-        st = GovernorState(v_prev=float(v_prev[i]))
-        v = scalar_rg(x[i], float(r[i]), st, cstr.variable)
-        beta = st.betas[-1]
+        v, beta = scalar_rg(x[i], float(r[i]), float(v_prev[i]), cstr.variable)
         if bool(cstr.variable.contains(x[i], float(r[i]))):
             pass_bad += int(v != float(r[i]))
             continue

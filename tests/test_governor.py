@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from oco_rg import (
-    GovernorState,
     InitializationInfeasibleError,
     InvarianceViolationError,
     SafeSet,
@@ -58,11 +57,9 @@ class TestScalarGovernor:
     def test_pass_through_when_admissible(self, cstr):
         v0 = 0.62
         x = cstr.ctrl.ss.h(v0)
-        st = GovernorState(v_prev=v0)
         r = 0.625  # close enough to remain admissible
         assert cstr.variable.contains(x, r)
-        assert scalar_rg(x, r, st, cstr.variable) == r
-        assert st.betas[-1] == 1.0
+        assert scalar_rg(x, r, v0, cstr.variable) == (r, 1.0)
 
     def test_blocked_reference_keeps_previous(self, cstr):
         ctrl = cstr.ctrl
@@ -73,10 +70,9 @@ class TestScalarGovernor:
         P = ctrl.lyap_weight(v0)
         d = np.array([1.0, 0.0])
         x = ctrl.ss.h(v0) + np.sqrt(lev / (d @ P @ d)) * d * (1.0 - 1e-12)
-        st = GovernorState(v_prev=v0)
         r = 0.85
         if not cstr.variable.contains(x, r):
-            v = scalar_rg(x, r, st, cstr.variable)
+            v, _ = scalar_rg(x, r, v0, cstr.variable)
             assert abs(v - v0) <= 1e-9 * abs(r - v0)
 
     def test_bisection_matches_dense_lattice(self, cstr):
@@ -84,9 +80,7 @@ class TestScalarGovernor:
         worst = 0.0
         active = 0
         for i in range(1000):
-            st = GovernorState(v_prev=float(v_prev[i]))
-            scalar_rg(x[i], float(r[i]), st, cstr.variable)
-            beta = st.betas[-1]
+            _, beta = scalar_rg(x[i], float(r[i]), float(v_prev[i]), cstr.variable)
             if beta == 1.0:
                 continue
             active += 1
@@ -113,9 +107,7 @@ class TestScalarGovernor:
     def test_maximality_of_bisection(self, cstr):
         x, v_prev, r = make_instances(cstr.variable, 400, seed=79)
         for i in range(400):
-            st = GovernorState(v_prev=float(v_prev[i]))
-            scalar_rg(x[i], float(r[i]), st, cstr.variable)
-            beta = st.betas[-1]
+            _, beta = scalar_rg(x[i], float(r[i]), float(v_prev[i]), cstr.variable)
             if beta < 1.0:
                 probe = v_prev[i] + (beta + 1e-8) * (r[i] - v_prev[i])
                 assert not bool(cstr.variable.contains(x[i], float(probe)))
@@ -123,8 +115,7 @@ class TestScalarGovernor:
     def test_monotone_approach(self, cstr):
         x, v_prev, r = make_instances(cstr.variable, 300, seed=80)
         for i in range(300):
-            st = GovernorState(v_prev=float(v_prev[i]))
-            v = scalar_rg(x[i], float(r[i]), st, cstr.variable)
+            v, _ = scalar_rg(x[i], float(r[i]), float(v_prev[i]), cstr.variable)
             assert abs(r[i] - v) <= abs(r[i] - v_prev[i]) + 1e-15
 
     def test_kernel_matches_array_path(self, cstr):
@@ -137,20 +128,16 @@ class TestScalarGovernor:
         x, v_prev, r = make_instances(cstr.fixed, 500, seed=84)
         active = 0
         for i in range(500):
-            fast = GovernorState(v_prev=float(v_prev[i]))
-            slow = GovernorState(v_prev=float(v_prev[i]))
-            assert (scalar_rg(x[i], float(r[i]), fast, cstr.fixed)
-                    == scalar_rg(x[i], float(r[i]), slow, array_only))
-            assert fast.betas == slow.betas
-            active += fast.betas[-1] < 1.0
+            fast = scalar_rg(x[i], float(r[i]), float(v_prev[i]), cstr.fixed)
+            assert fast == scalar_rg(x[i], float(r[i]), float(v_prev[i]), array_only)
+            active += fast[1] < 1.0
         assert active >= 300
 
     def test_invariance_violation_detected(self, cstr):
         x_bad = np.array([0.9, 0.45])  # far outside every slice
-        st = GovernorState(v_prev=0.6)
         assert not cstr.variable.contains(x_bad, 0.6)
         with pytest.raises(InvarianceViolationError):
-            scalar_rg(x_bad, 0.85, st, cstr.variable)
+            scalar_rg(x_bad, 0.85, 0.6, cstr.variable)
 
 
 class TestCommandGovernor:
@@ -207,8 +194,7 @@ class TestCommandGovernor:
         maximum and the projection coincide."""
         x, v_prev, r = make_instances(cstr.variable, 300, seed=82)
         for i in range(300):
-            st = GovernorState(v_prev=float(v_prev[i]))
-            v_seg = scalar_rg(x[i], float(r[i]), st, cstr.variable)
+            v_seg, _ = scalar_rg(x[i], float(r[i]), float(v_prev[i]), cstr.variable)
             v_proj = command_governor(x[i], float(r[i]), cstr.variable)
             assert abs(v_seg - v_proj) <= 5e-6
 
@@ -237,13 +223,11 @@ class TestMaximalityCheck:
 
 class TestInitialization:
     def test_benchmark_start_accepted(self, cstr):
-        st = initialize_governor(cstr.plant.x0, 0.6519, cstr.fixed)
-        assert st.v_prev == 0.6519
+        assert initialize_governor(cstr.plant.x0, 0.6519, cstr.fixed) == 0.6519
 
     def test_any_steady_state_accepted(self, cstr):
         for v in (0.45, 0.6, 0.8):
-            st = initialize_governor(cstr.ctrl.ss.h(v), v, cstr.fixed)
-            assert st.v_prev == v
+            assert initialize_governor(cstr.ctrl.ss.h(v), v, cstr.fixed) == v
 
     def test_infeasible_start_rejected(self, cstr):
         with pytest.raises(InitializationInfeasibleError, match="exceeds level"):

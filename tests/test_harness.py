@@ -21,7 +21,7 @@ from oco_rg import (
     verify_regret_bound,
 )
 from oco_rg import box_polytope
-from oco_rg.harness import KahanSum
+from oco_rg.harness import KahanSum, RegretLedger
 
 from test_tracking import make_scalar_tracking
 
@@ -53,6 +53,18 @@ class TestLedger:
             assert ledger.path_length >= 0.0
             assert ledger.violations == 0
 
+    def test_record_takes_exactly_the_named_columns(self):
+        ledger = RegretLedger()
+        row = dict.fromkeys(RegretLedger.COLUMNS, 0.5)
+        ledger.record(0, [0.1, 0.2], **row)
+        with pytest.raises(TypeError, match="V_quad"):
+            ledger.record(1, [0.1, 0.2], **row, V_quad=0.5)
+        del row["V"]
+        with pytest.raises(KeyError):
+            ledger.record(1, [0.1, 0.2], **row)
+        assert ledger.steps == 1
+        assert all(len(getattr(ledger, name)) == 1 for name in RegretLedger.COLUMNS)
+
     def test_csv_round_trip_precision(self, standard_runs, tmp_path):
         ledger = standard_runs[("ogd", "variable")]
         path = ledger.to_csv(tmp_path / "traj.csv")
@@ -81,7 +93,7 @@ class TestClosedLoop:
         sched = CstrCostSchedule(horizon=120)
         ledger = run_closed_loop(cstr.plant, cstr.ctrl, cstr.variable, "command",
                                  "ogd", sched, T=120, r0=0.6519)
-        assert ledger.violations == 0
+        assert ledger.violations == 0 and ledger.invariance_breaks == 0
         assert np.all(np.isnan(ledger.beta))
 
     def test_inductive_safety_along_runs(self, cstr, standard_runs):
@@ -89,6 +101,7 @@ class TestClosedLoop:
             safe_set = getattr(cstr, kind)
             arr = ledger.arrays()
             assert np.all(arr["V"] <= arr["level"] * (1 + 1e-12))
+            assert ledger.invariance_breaks == 0
 
     def test_pass_through_steps_return_r_exactly(self, standard_runs):
         ledger = standard_runs[("prev_opt", "variable")]

@@ -3,7 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from oco_rg import ConfigError, ScenarioConfig, build_scenario, load_config
+from oco_rg import (
+    ConfigError,
+    CstrCostSchedule,
+    RegretLedger,
+    ScenarioConfig,
+    build_scenario,
+    load_config,
+)
+from oco_rg import cli, harness
 from oco_rg.harness import estimate_ogd_kappa
 from oco_rg.cli import main
 
@@ -27,6 +35,14 @@ def write(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def memory_config(tmp_path, steps, plant="p = 1"):
+    """configs/oco_memory.ini with a shorter run; ``plant`` replaces its p line."""
+    text = (REPO / "configs" / "oco_memory.ini").read_text()
+    text = text.replace("steps = 600", f"steps = {steps}").replace("p = 1", plant)
+    text = text.replace("dir = out_memory", f"dir = {tmp_path / 'm'}")
+    return write(tmp_path, text, name="mem.ini")
 
 
 class TestConfig:
@@ -135,6 +151,32 @@ class TestSimulate:
         for fname in ("trajectory.csv", "report.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    @pytest.mark.parametrize("plant, labels", [
+        ("reactor", "c,theta"), ("register", "x0")])
+    def test_trajectory_header(self, tmp_path, plant, labels):
+        if plant == "reactor":
+            cfg = write(tmp_path, "[run]\nsteps = 2\n[tracking]\ngrid_points = 61\n")
+        else:
+            cfg = memory_config(tmp_path, 2)
+        out = tmp_path / "hdr"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        header = (out / "trajectory.csv").read_text().splitlines()[0]
+        assert header == (f"t,{labels},u,r,v,eta,beta,L_stage,Ls_r,Ls_v,Ls_eta,"
+                          "V,level,margin_worst")
+        assert header.split(",") == ["t", *labels.split(","), *RegretLedger.COLUMNS]
+
+    def test_register_starts_at_configured_x0(self, tmp_path):
+        cfg = memory_config(tmp_path, 5, "p = 1\nx0 = 0.5")
+        out = tmp_path / "x0"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        first = (out / "trajectory.csv").read_text().splitlines()[1].split(",")
+        assert first[:2] == ["0", "0.5"]
+
+    def test_register_x0_of_wrong_length_exits_two(self, tmp_path, capsys):
+        cfg = memory_config(tmp_path, 5, "p = 1\nx0 = 0.5 0.5")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+        assert "x0" in capsys.readouterr().err
+
     def test_override_flags(self, tmp_path):
         cfg = write(tmp_path, FAST_CSTR)
         out = tmp_path / "ov"
@@ -180,11 +222,36 @@ class TestVerify:
                 "did not converge within 10000 iterations") in capsys.readouterr().err
 
     def test_memory_scenario_passes(self, tmp_path):
-        text = (REPO / "configs" / "oco_memory.ini").read_text()
-        text = text.replace("steps = 600", "steps = 200")
-        text = text.replace("dir = out_memory", f"dir = {tmp_path / 'm'}")
-        cfg = write(tmp_path, text, name="mem.ini")
-        assert main(["verify", "--config", str(cfg)]) == 0
+        assert main(["verify", "--config", str(memory_config(tmp_path, 200))]) == 0
+
+    def test_memory_check_runs_configured_step_size(self, tmp_path, monkeypatch):
+        runs, checks = [], []
+
+        def capture(fn, into):
+            def wrapper(*args, **kwargs):
+                into.append(fn(*args, **kwargs))
+                return into[-1]
+            return wrapper
+
+        monkeypatch.setattr(cli, "run_closed_loop", capture(cli.run_closed_loop, runs))
+        monkeypatch.setattr(cli, "run_memory_reduction",
+                            capture(cli.run_memory_reduction, checks))
+        assert main(["verify", "--config", str(memory_config(tmp_path, 200))]) == 0
+        assert len(runs) == len(checks) == 1
+        assert checks[0]["ledger"].regret == runs[0].regret
+
+    def test_ungoverned_run_counts_invariance_breaks(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "command_governor", lambda x, r, safe_set: r)
+        cfg = write(tmp_path, FAST_CSTR + "\n[governor]\nkind = command\n")
+        out = tmp_path / "free"
+        main(["simulate", "--config", str(cfg), "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert report["invariance_breaks"] > 0
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 1
+        line = next(row for row in capsys.readouterr().out.splitlines()
+                    if row.startswith("verify zero_violations"))
+        assert "FAIL" in line and '"invariance_breaks": 0' not in line
 
 
 class TestConstants:
@@ -207,9 +274,18 @@ class TestConstants:
         assert main(["constants", "--config", str(write(tmp_path, text)),
                      "--out", str(out)]) == 0
         cert = json.loads((out / "certificate.json").read_text())
-        ctrl = build_scenario(load_config(tmp_path / "scenario.ini")).ctrl
-        assert cert["kappa_ogd"] == estimate_ogd_kappa(ctrl, gamma=1e-3)
-        assert cert["kappa_ogd"] != estimate_ogd_kappa(ctrl, gamma=2.5e-4)
+        bundle = build_scenario(load_config(tmp_path / "scenario.ini"))
+        kappa = estimate_ogd_kappa(bundle.ctrl, bundle.schedule, gamma=1e-3)
+        assert cert["kappa_ogd"] == kappa
+        assert cert["kappa_ogd"] != estimate_ogd_kappa(bundle.ctrl, bundle.schedule,
+                                                       gamma=2.5e-4)
+
+    def test_kappa_follows_the_schedule_target_range(self, tmp_path):
+        ctrl = build_scenario(load_config(write(tmp_path, FAST_CSTR))).ctrl
+        kappas = [estimate_ogd_kappa(ctrl, CstrCostSchedule(cbar_initial=low), gamma=2.5e-4)
+                  for low in (0.27, 0.25)]
+        assert kappas[0] != kappas[1]
+        assert max(kappas) < 1.0
 
     def test_reruns_identical(self, tmp_path):
         cfg = write(tmp_path, FAST_CSTR)
