@@ -87,10 +87,10 @@ def cstr_continuous_rhs(state, u, params: CstrParams):
     return np.stack([dc, dtheta], axis=-1)
 
 
-def cstr_plant(params: CstrParams | None = None, x0=(0.2632, 0.6519)) -> Plant:
-    """Euler-forward discretization of the tank reactor."""
+def cstr_plant(params: CstrParams | None = None, x0=None) -> Plant:
+    """Euler-forward discretization of the tank reactor; x0 defaults to (0.2632, 0.6519)."""
     params = params or CstrParams()
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray((0.2632, 0.6519) if x0 is None else x0, dtype=float)
 
     def step(x, u):
         x = np.asarray(x, dtype=float)

@@ -11,6 +11,8 @@ import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .oco import CstrCostSchedule, MemoryCostSchedule
 from .plant import CstrParams, box_polytope, cstr_plant, shift_register_plant
 from .safeset import fixed_level_set, variable_level_set
@@ -32,7 +34,7 @@ class ScenarioConfig:
     x_c: float = 0.3816
     alpha_f: float = 0.117
     tau: float = 0.1
-    x0: tuple | None = None  # None: the plant's own start, see __post_init__
+    x0: tuple | None = None  # None: the reactor's benchmark start, r0 in every register slot
     register_m: int = 1
     register_p: int = 1
     # [constraints]
@@ -76,12 +78,6 @@ class ScenarioConfig:
     seed: int = 12345
     # [output]
     out_dir: str = "out"
-
-    def __post_init__(self):
-        if self.x0 is None:  # the reactor's benchmark start, or r0 in every register slot
-            x0 = ((0.2632, 0.6519) if self.plant_kind == "cstr"
-                  else (self.r0,) * (self.register_m * self.register_p))
-            object.__setattr__(self, "x0", x0)
 
     def with_overrides(self, **kwargs):
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
@@ -203,13 +199,14 @@ def validate_config(cfg: ScenarioConfig):
         if not lo <= hi:
             raise ConfigError(f"constraint interval [{name}_min, {name}_max] = "
                               f"[{lo}, {hi}] is empty")
-    if cfg.plant_kind == "cstr" and len(cfg.x0) != 2:
-        raise ConfigError(f"x0 must have 2 entries (c, theta) for the reactor, "
-                          f"got {len(cfg.x0)}")
-    n_register = cfg.register_m * cfg.register_p
-    if cfg.plant_kind == "shift_register" and len(cfg.x0) != n_register:
-        raise ConfigError(f"x0 must have m * p = {n_register} entries for the register, "
-                          f"got {len(cfg.x0)}")
+    if cfg.x0 is not None:
+        if cfg.plant_kind == "cstr":
+            n, what = 2, "2 entries (c, theta) for the reactor"
+        else:
+            n = cfg.register_m * cfg.register_p
+            what = f"m * p = {n} entries for the register"
+        if len(cfg.x0) != n:
+            raise ConfigError(f"x0 must have {what}, got {len(cfg.x0)}")
 
 
 @dataclass
@@ -244,7 +241,8 @@ def build_scenario(cfg: ScenarioConfig, safe_set_kind=None) -> ScenarioBundle:
             plateau_end=cfg.plateau_end)
     elif cfg.plant_kind == "shift_register":
         m, p = cfg.register_m, cfg.register_p
-        plant = shift_register_plant(m, p, x0=cfg.x0)
+        x0 = np.full(m * p, cfg.r0) if cfg.x0 is None else cfg.x0
+        plant = shift_register_plant(m, p, x0=x0)
         ctrl = register_controller(plant, m, p, cfg.v_min, cfg.v_max)
         poly = box_polytope([(None, None)] * (m * p), [(cfg.u_min, cfg.u_max)] * m)
         schedule = MemoryCostSchedule(

@@ -177,6 +177,11 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
         assert "x0" in capsys.readouterr().err
 
+    def test_register_without_x0_starts_at_overridden_r0(self, tmp_path):
+        cfg = load_config(memory_config(tmp_path, 5, "p = 2")).with_overrides(r0=0.2)
+        assert cfg.x0 is None
+        assert build_scenario(cfg).plant.x0.tolist() == [0.2, 0.2]
+
     def test_override_flags(self, tmp_path):
         cfg = write(tmp_path, FAST_CSTR)
         out = tmp_path / "ov"
