@@ -187,7 +187,9 @@ def run_closed_loop(plant: Plant, ctrl: TrackingController, safe_set: SafeSet,
     Per step: the online update proposes r_t from costs up to t-1 (r_0 is
     the configured start), the governor produces an admissible v_t, the
     feedback u_t = g(x_t, v_t) is applied, and the per-step optimal
-    reference is recorded for the regret benchmark.
+    reference eta_t is recorded for the regret benchmark.  eta depends on
+    the cost schedule alone, so it is computed for all T indices before
+    step 0, outside the online update's causality log.
     """
     if governor_kind not in ("scalar", "command"):
         raise ValueError(f"unknown governor kind {governor_kind!r}")
@@ -204,6 +206,7 @@ def run_closed_loop(plant: Plant, ctrl: TrackingController, safe_set: SafeSet,
     ledger = RegretLedger(state_labels=labels)
     poly = safe_set.poly
     step_fn = ogd_step if oco_kind == "ogd" else prev_opt_step
+    etas = np.broadcast_to(benchmark_reference(ss_cost, np.arange(T)), (T,))
     for t in range(T):
         try:
             revealed.now = t
@@ -216,7 +219,7 @@ def run_closed_loop(plant: Plant, ctrl: TrackingController, safe_set: SafeSet,
                 v, beta = command_governor(x, r, safe_set), math.nan
             t2 = time.perf_counter_ns()
             u = float(ctrl.feedback(x, v))
-            eta = benchmark_reference(ss_cost, t)
+            eta = etas[t]
             ledger.record(
                 t=t, x=x, u=u, r=r, v=v, eta=eta, beta=beta,
                 L_stage=float(schedule.stage_cost(t, x, u)),

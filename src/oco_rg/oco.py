@@ -4,7 +4,8 @@ The online algorithms see only costs that have already been revealed: at
 step t they may evaluate index t-1 and earlier.  Projected gradient descent
 and a previous-optimum algorithm ship; the per-step optimal reference is
 computed independently by a dense scan plus golden-section refinement and
-serves as the regret benchmark.
+serves as the regret benchmark; it depends on the cost schedule alone, so a
+run computes it for every index at once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+LANE_BLOCK = 256  # searches in flight at once; each holds a generator of about 0.5 kB
 
 
 class CstrCostSchedule:
@@ -91,6 +93,8 @@ class MemoryCostSchedule:
         self.switch_weight = float(switch_weight)
 
     def target(self, t):
+        if isinstance(t, np.ndarray):  # one index per lane
+            return np.array([self.target(i) for i in t.tolist()])
         return self.target_amplitude * math.sin(2.0 * math.pi * t / self.target_period)
 
     def stage_cost(self, t, x, u):
@@ -142,7 +146,9 @@ class SteadyStateCost:
     """Induced cost of holding reference v: stage cost at (h(v), g(h(v), v)).
 
     Scalar evaluations of the reactor pairing bypass the array machinery
-    (the per-step line searches make tens of such calls each).
+    (the per-step line searches make tens of such calls each).  ``eval``
+    also takes an int array t aligned with an array v (one index per lane);
+    each entry equals the scalar call at that index.
     """
 
     def __init__(self, schedule, ctrl):
@@ -157,12 +163,24 @@ class SteadyStateCost:
         return self.ctrl.ss.window
 
     def eval(self, t, v):
-        if self._fast is not None and np.ndim(v) == 0:
-            c, u = self._fast.pair(float(v))
-            diff = c - self.schedule.target(t)
-            return self.schedule.weight(t) * diff * diff + u * u
+        if self._fast is not None:
+            if isinstance(t, np.ndarray):
+                return np.array([self._fast_eval(i, w)
+                                 for i, w in zip(t.tolist(), np.asarray(v).tolist())])
+            if np.ndim(v) == 0:
+                return self._fast_eval(t, float(v))
         v = np.asarray(v, dtype=float)
         return self.schedule.stage_cost(t, self.ctrl.ss.h(v), self.ctrl.ss.u_ss(v))
+
+    def _fast_eval(self, t, v):
+        c, u = self._fast.pair(v)
+        diff = c - self.schedule.target(t)
+        return self.schedule.weight(t) * diff * diff + u * u
+
+    def scan(self, t, points):
+        """The window's uniform grid of ``points`` and the cost at index t on it."""
+        grid, h, u = self.ctrl.ss.on_grid(points)
+        return grid, self.schedule.stage_cost(t, h, u)
 
     def grad(self, t, v):
         """Reference derivative via the chain rule through h and u_ss."""
@@ -182,6 +200,7 @@ class InstrumentedCost:
 
     ``now`` is the step currently being decided; every (now, index) access
     is recorded so tests can assert that no algorithm peeks at index >= now.
+    A call with an index array records one access per index.
     """
 
     def __init__(self, cost: SteadyStateCost):
@@ -193,13 +212,23 @@ class InstrumentedCost:
     def window(self):
         return self._cost.window
 
+    def _log(self, t):
+        if isinstance(t, np.ndarray):
+            self.accesses.extend((self.now, i) for i in t.tolist())
+        else:
+            self.accesses.append((self.now, t))
+
     def eval(self, t, v):
-        self.accesses.append((self.now, t))
+        self._log(t)
         return self._cost.eval(t, v)
 
     def grad(self, t, v):
-        self.accesses.append((self.now, t))
+        self._log(t)
         return self._cost.grad(t, v)
+
+    def scan(self, t, points):
+        self._log(t)
+        return self._cost.scan(t, points)
 
 
 @dataclass
@@ -216,37 +245,97 @@ def project_window(v, window):
     return min(max(float(v), lo), hi)
 
 
-def golden_section(f, a, b, tol=1e-10):
-    """Golden-section minimization on [a, b] to interval width tol."""
+def golden_search(a, b, tol=1e-10):
+    """Golden-section minimization on [a, b] to interval width tol, as a generator.
+
+    It yields the points to evaluate, receives each value by ``send`` and
+    returns the midpoint of the final interval (as StopIteration.value).
+    """
     c1 = b - GOLDEN * (b - a)
     c2 = a + GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
+    f1 = yield c1
+    f2 = yield c2
     while b - a > tol:
         if f1 < f2:
             b, c2, f2 = c2, c1, f1
             c1 = b - GOLDEN * (b - a)
-            f1 = f(c1)
+            f1 = yield c1
         else:
             a, c1, f1 = c1, c2, f2
             c2 = a + GOLDEN * (b - a)
-            f2 = f(c2)
+            f2 = yield c2
     return 0.5 * (a + b)
 
 
+def golden_section(f, a, b, tol=1e-10):
+    """Golden-section minimization of f on [a, b] to interval width tol."""
+    search = golden_search(a, b, tol)
+    try:
+        v = next(search)
+        while True:
+            v = search.send(f(v))
+    except StopIteration as done:
+        return done.value
+
+
+def golden_lanes(f, a, b, tol=1e-10):
+    """One golden-section search per lane on [a[k], b[k]], all advanced in lockstep.
+
+    ``f(lanes, v)`` returns the values of the listed lanes' functions at the
+    aligned points v, so each round makes one call; lanes leave as their
+    searches finish.  Lane k's result equals golden_section on its own.
+    """
+    searches = [golden_search(lo, hi, tol) for lo, hi in zip(a.tolist(), b.tolist())]
+    out = np.empty(len(searches))
+    lanes = np.arange(len(searches))
+    points = np.array([next(search) for search in searches])
+    while lanes.size:
+        going = []
+        for k, (lane, value) in enumerate(zip(lanes.tolist(), f(lanes, points).tolist())):
+            try:
+                points[k] = searches[lane].send(value)
+                going.append(k)
+            except StopIteration as done:
+                out[lane] = done.value
+        lanes, points = lanes[going], points[going]
+    return out
+
+
+def _bracket(cost, t, points):
+    """Grid cells around the smallest of ``points`` scanned cost values at index t."""
+    scan = getattr(cost, "scan", None)
+    if scan is None:  # any object with window and eval
+        lo, hi = cost.window
+        grid = np.linspace(lo, hi, points)
+        vals = np.asarray(cost.eval(t, grid))
+    else:
+        grid, vals = scan(t, points)
+    i = int(np.argmin(vals))
+    return grid[max(i - 1, 0)], grid[min(i + 1, points - 1)]
+
+
 def benchmark_reference(cost, t, grid_points=2001, tol=1e-10):
-    """Optimal steady-state reference at index t.
+    """Optimal steady-state reference at index t, or at each index of an int array t.
 
     Dense uniform scan over the window followed by golden-section
     refinement of the bracketing cells; robust to the mild nonconvexity of
-    the induced costs.
+    the induced costs.  For an index array the scans run one index at a
+    time and the refinements in lockstep (golden_lanes), with one cost call
+    per round; every entry equals the scalar call at its index.
     """
-    lo, hi = cost.window
-    grid = np.linspace(lo, hi, grid_points)
-    vals = np.asarray(cost.eval(t, grid))
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid_points - 1)]
-    return golden_section(lambda v: float(cost.eval(t, v)), a, b, tol)
+    if np.ndim(t) == 0:
+        a, b = _bracket(cost, t, grid_points)
+        return golden_section(lambda v: float(cost.eval(t, v)), a, b, tol)
+    t = np.asarray(t)
+    out = np.empty(t.shape)
+    for start in range(0, t.size, LANE_BLOCK):
+        block = t[start:start + LANE_BLOCK]
+        a, b = np.empty(block.shape), np.empty(block.shape)
+        for k, i in enumerate(block.tolist()):
+            a[k], b[k] = _bracket(cost, i, grid_points)
+        out[start:start + block.size] = golden_lanes(
+            lambda lanes, v, block=block: cost.eval(block[lanes], v), a, b, tol)
+    return out
 
 
 def ogd_step(state: OcoState, cost, t: int):

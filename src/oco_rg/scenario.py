@@ -191,9 +191,12 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigError("level_scale must be positive")
     if cfg.grid_points < 2:
         raise ConfigError("grid_points must be >= 2")
-    for attr in ("tau", "step_size", "q_period", "memory_target_period"):
+    for attr in ("tau", "step_size", "q_period", "memory_target_period", "lqr_q", "lqr_r"):
         if not getattr(cfg, attr) > 0:
             raise ConfigError(f"{attr} must be positive, got {getattr(cfg, attr)!r}")
+    for attr in ("register_m", "register_p"):
+        if getattr(cfg, attr) < 1:
+            raise ConfigError(f"{attr} must be >= 1, got {getattr(cfg, attr)!r}")
     for name in ("c", "theta", "u"):
         lo, hi = getattr(cfg, f"{name}_min"), getattr(cfg, f"{name}_max")
         if not lo <= hi:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -58,6 +58,7 @@ class SteadyStateMap:
     dh: Callable | None = None
     du_ss: Callable | None = None
     fast: object | None = None
+    _on_grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def window(self):
@@ -65,6 +66,20 @@ class SteadyStateMap:
 
     def grid(self, points: int) -> np.ndarray:
         return np.linspace(self.v_lo, self.v_hi, points)
+
+    def on_grid(self, points: int):
+        """Read-only (grid, h(grid), u_ss(grid)), computed on first use per point count.
+
+        Recomputing gives the same arrays, so concurrent first uses are harmless.
+        """
+        cached = self._on_grid.get(points)
+        if cached is None:
+            grid = self.grid(points)
+            cached = (grid, self.h(grid), np.asarray(self.u_ss(grid)))
+            for array in cached:
+                array.flags.writeable = False
+            self._on_grid[points] = cached
+        return cached
 
 
 def cstr_equilibrium(v, p: CstrParams, exp=np.exp, order=1):

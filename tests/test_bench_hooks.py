@@ -48,6 +48,7 @@ def test_tracer_installs_runs_and_uninstalls():
     assert ledger.steps == 30
     assert tracer.calls("governor") == tracer.calls("harness.record") == 30
     assert tracer.calls("harness.run") == 1
+    assert tracer.calls("oco.oracle") == 1  # one batched oracle call per run, not one per step
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
 
 

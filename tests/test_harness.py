@@ -9,6 +9,7 @@ from oco_rg import (
     SamplingPlan,
     SteadyStateCost,
     adversarial_lower_bound,
+    benchmark_reference,
     estimate_certificate,
     fit_exponential_envelope,
     kahan_total,
@@ -79,7 +80,6 @@ class TestClosedLoop:
         """Start at the optimum of a frozen cost: nothing moves, regret ~ 0."""
         sched = CstrCostSchedule(horizon=50, q_offset=150.0, q_amplitude=0.0,
                                  cbar_initial=0.5, cbar_high=0.5, cbar_final=0.5)
-        from oco_rg import benchmark_reference
         cost = SteadyStateCost(sched, cstr.ctrl)
         eta = benchmark_reference(cost, 0)
         ledger = run_closed_loop(cstr.plant, cstr.ctrl, cstr.variable, "scalar",
@@ -109,6 +109,20 @@ class TestClosedLoop:
         pass_through = arr["beta"] == 1.0
         assert pass_through.any()
         assert np.array_equal(arr["v"][pass_through], arr["r"][pass_through])
+
+    def test_causality_log_holds_only_the_online_update(self, standard_runs):
+        # the hindsight oracle runs before step 0 and never through the logged view
+        T = standard_runs[("ogd", "fixed")].steps
+        assert standard_runs[("ogd", "fixed")].causality_log == tuple(
+            (t, t - 1) for t in range(1, T))
+        log = standard_runs[("prev_opt", "fixed")].causality_log
+        assert {(now, idx) for now, idx in log} == {(t, t - 1) for t in range(1, T)}
+
+    def test_eta_is_the_per_index_oracle(self, cstr, standard_runs):
+        cost = SteadyStateCost(cstr.schedule, cstr.ctrl)
+        eta = standard_runs[("ogd", "fixed")].eta
+        for t in (0, 1, 899, 900, 1799, 2399):
+            assert eta[t] == benchmark_reference(cost, t)
 
 
 class TestEnvelopeFit:
@@ -191,7 +205,6 @@ class TestRegretBound:
     def test_zero_motion_bound_tight(self, cstr):
         sched = CstrCostSchedule(horizon=40, q_offset=150.0, q_amplitude=0.0,
                                  cbar_initial=0.5, cbar_high=0.5, cbar_final=0.5)
-        from oco_rg import benchmark_reference
         cost = SteadyStateCost(sched, cstr.ctrl)
         eta = benchmark_reference(cost, 0)
         ledger = run_closed_loop(cstr.plant, cstr.ctrl, cstr.variable, "scalar",

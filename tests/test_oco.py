@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from oco_rg import (
     CstrCostSchedule,
     InstrumentedCost,
+    MemoryCostSchedule,
     OcoState,
     SteadyStateCost,
     benchmark_reference,
@@ -15,14 +17,61 @@ from oco_rg import (
     ogd_step,
     prev_opt_step,
     q_linear_regret_constants,
+    register_controller,
+    shift_register_plant,
 )
-from oco_rg.oco import project_window
+from oco_rg.checks import check_causality
+from oco_rg.oco import GOLDEN, project_window
 
 
 def frozen_cost(ctrl, q, cbar):
     sched = CstrCostSchedule(horizon=10, q_offset=q, q_amplitude=0.0,
                              cbar_initial=cbar, cbar_high=cbar, cbar_final=cbar)
     return SteadyStateCost(sched, ctrl)
+
+
+def register_cost(p, horizon=300, target_amplitude=0.6):
+    ctrl = register_controller(shift_register_plant(1, p), 1, p, -0.9, 0.9)
+    sched = MemoryCostSchedule(horizon=horizon, p=p, target_amplitude=target_amplitude)
+    return SteadyStateCost(sched, ctrl)
+
+
+def loop_golden_section(f, a, b, tol=1e-10):
+    """The golden-section loop as it was written before it became a generator."""
+    c1 = b - GOLDEN * (b - a)
+    c2 = a + GOLDEN * (b - a)
+    f1, f2 = f(c1), f(c2)
+    while b - a > tol:
+        if f1 < f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - GOLDEN * (b - a)
+            f1 = f(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + GOLDEN * (b - a)
+            f2 = f(c2)
+    return 0.5 * (a + b)
+
+
+class Quad:
+    window = (0.4, 0.85)
+
+    def eval(self, t, v):
+        return (np.asarray(v, float) - 0.57) ** 2
+
+
+class Slope:
+    window = (0.4, 0.85)
+
+    def eval(self, t, v):
+        return -np.asarray(v, float)  # decreasing: optimum at v_hi
+
+
+class Rise:
+    window = (0.4, 0.85)
+
+    def eval(self, t, v):
+        return np.asarray(v, float)
 
 
 class TestSchedule:
@@ -80,12 +129,6 @@ class TestSteadyStateCost:
 
 class TestBenchmark:
     def test_quadratic_toy(self):
-        class Quad:
-            window = (0.4, 0.85)
-
-            def eval(self, t, v):
-                return (np.asarray(v, float) - 0.57) ** 2
-
         assert benchmark_reference(Quad(), 0) == pytest.approx(0.57, abs=1e-9)
 
     def test_grid_optimality(self, cstr):
@@ -102,22 +145,52 @@ class TestBenchmark:
         assert got == pytest.approx(math.pi, abs=5e-8)
 
     def test_boundary_minimizer_clamps(self):
-        class Slope:
-            window = (0.4, 0.85)
-
-            def eval(self, t, v):
-                return -np.asarray(v, float)  # decreasing: optimum at v_hi
-
         assert benchmark_reference(Slope(), 0) == pytest.approx(0.85, abs=1e-9)
-
-        class Rise:
-            window = (0.4, 0.85)
-
-            def eval(self, t, v):
-                return np.asarray(v, float)
-
         assert benchmark_reference(Rise(), 0) == pytest.approx(0.4, abs=1e-9)
 
+    @pytest.mark.parametrize("f, a, b, tol", [
+        (math.cos, 2.0, 4.5, 1e-12),
+        (math.cos, 2.0, 4.5, 1e-10),
+        (lambda v: max(abs(v - 0.5) - 0.1, 0.0), 0.0, 1.0, 1e-10),  # flat on [0.4, 0.6]
+        (lambda v: 1.0, 0.3, 0.9, 1e-10),
+    ], ids=["cos-1e-12", "cos", "flat-minimum", "constant"])
+    def test_golden_section_equals_the_loop(self, f, a, b, tol):
+        assert golden_section(f, a, b, tol) == loop_golden_section(f, a, b, tol)
+
+    def test_index_array_equals_per_index_calls_on_reactor(self, cstr):
+        # ramp [0, 100), plateau [100, 200) and descent [200, 300) all in one run
+        sched = CstrCostSchedule(horizon=300, q_period=300, ramp_end=100, plateau_end=200)
+        cost = SteadyStateCost(sched, cstr.ctrl)
+        etas = benchmark_reference(cost, np.arange(300))
+        assert etas.shape == (300,)
+        assert np.array_equal(etas, [benchmark_reference(cost, t) for t in range(300)])
+
+    @pytest.mark.parametrize("p, amplitude", [(1, 0.6), (3, 0.6), (1, 1.2)],
+                             ids=["p1", "p3", "p1-target-leaves-window"])
+    def test_index_array_equals_per_index_calls_on_register(self, p, amplitude):
+        # a target beyond the window puts some optima on its edge, where the
+        # bracket is one cell wide and those lanes finish rounds earlier
+        cost = register_cost(p, target_amplitude=amplitude)
+        etas = benchmark_reference(cost, np.arange(300))
+        assert np.array_equal(etas, [benchmark_reference(cost, t) for t in range(300)])
+
+    @pytest.mark.parametrize("cost, eta", [(Quad(), 0.57), (Slope(), 0.85), (Rise(), 0.4)],
+                             ids=["quad", "slope", "rise"])
+    def test_duck_typed_costs_take_int_and_index_array(self, cost, eta):
+        one = benchmark_reference(cost, 3)
+        assert one == pytest.approx(eta, abs=1e-9)
+        assert np.array_equal(benchmark_reference(cost, np.arange(4)), np.full(4, one))
+
+    @pytest.mark.parametrize("kind", ["reactor", "register"])
+    def test_lane_evaluation_equals_scalar_calls(self, cstr, kind):
+        t = np.array([0, 450, 901, 1799, 2399])
+        if kind == "reactor":
+            cost, v = SteadyStateCost(cstr.schedule, cstr.ctrl), [0.4, 0.55, 0.6, 0.7, 0.85]
+        else:
+            cost, v = register_cost(3, horizon=2400), [-0.9, -0.2, 0.0, 0.3, 0.9]
+        lanes = cost.eval(t, np.array(v))
+        assert lanes.shape == (5,)
+        assert lanes.tolist() == [float(cost.eval(i, w)) for i, w in zip(t.tolist(), v)]
 
 class TestOgd:
     def test_zero_gradient_is_fixed_point(self, cstr):
@@ -168,6 +241,25 @@ class TestCausality:
             prev_opt_step(prev, inst, t)
         assert inst.accesses, "no accesses recorded"
         assert all(idx < now for now, idx in inst.accesses)
+
+    def test_lane_call_logs_every_index(self, cstr):
+        inst = InstrumentedCost(SteadyStateCost(cstr.schedule, cstr.ctrl))
+        inst.now = 5
+        vals = inst.eval(np.array([1, 4, 7]), np.array([0.5, 0.6, 0.7]))
+        assert vals.shape == (3,)
+        assert inst.accesses == [(5, 1), (5, 4), (5, 7)]
+        log = check_causality(SimpleNamespace(causality_log=tuple(inst.accesses)))
+        assert not log["passed"] and log["violations"] == [(5, 7)]
+
+    def test_oracle_through_the_view_logs_each_lane(self, cstr):
+        inst = InstrumentedCost(SteadyStateCost(cstr.schedule, cstr.ctrl))
+        inst.now = 3
+        benchmark_reference(inst, np.arange(3))
+        assert {idx for _, idx in inst.accesses} == {0, 1, 2}
+        assert check_causality(SimpleNamespace(causality_log=tuple(inst.accesses)))["passed"]
+        inst.now = 2
+        benchmark_reference(inst, np.arange(3))
+        assert not check_causality(SimpleNamespace(causality_log=tuple(inst.accesses)))["passed"]
 
 
 class TestProjection:

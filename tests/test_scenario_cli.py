@@ -113,7 +113,12 @@ class TestSimulate:
         ("[plant]\nx0 = 0.2632 0.6519 0.1", "x0"),
         ("[constraints]\nu_min = 3.0\nu_max = 2.0", "u_min"),
         ("[schedule]\nmemory_target_period = 0", "memory_target_period"),
-    ], ids=["q_period", "step_size", "tau", "x0", "empty_interval", "memory_target_period"])
+        ("[tracking]\nlqr_q = -1", "lqr_q"),
+        ("[tracking]\nlqr_r = 0", "lqr_r"),
+        ("[plant]\nkind = shift_register\nm = 0", "register_m"),
+        ("[plant]\nkind = shift_register\np = 0", "register_p"),
+    ], ids=["q_period", "step_size", "tau", "x0", "empty_interval", "memory_target_period",
+            "lqr_q", "lqr_r", "register_m", "register_p"])
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, entries, key):
         cfg = write(tmp_path, f"{entries}\n[run]\nsteps = 50\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
