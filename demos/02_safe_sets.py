@@ -39,7 +39,6 @@ cert = fixed.certificate
 print("\n=== Uniform level ===")
 print(f"V_max = min Gamma = {cert.V_max:.6g}")
 print(f"ball radius delta = {cert.delta:.4g} fits inside every slice")
-print(f"settling horizon (diagnostic): {cert.k_star} steps")
 
 print("\n=== Set sizes along the window ===")
 print(f"{'theta':>7s} {'Gamma(v)':>10s} {'V_max':>10s} {'ratio':>7s}")

@@ -41,7 +41,7 @@ from .safeset import (
     ReferenceWindowError,
     SafeSet,
     SliceNotIntervalError,
-    calibrate_fixed_level,
+    calibrate_level,
     compute_gamma,
     fixed_level_set,
     variable_level_set,

@@ -127,8 +127,8 @@ def check_safe_set_soundness(safe_set: SafeSet, n_samples=10_000, steps=50,
 
 def check_delta_ball(safe_set: SafeSet, grid_points=181, ring_points=24):
     """Every state within delta of h(v) belongs to the slice at v."""
-    cert = safe_set.certificate
-    if cert is None or not np.isfinite(cert.delta):
+    delta = safe_set.certificate.delta
+    if not np.isfinite(delta):
         return {"passed": True, "skipped": "no finite ball radius"}
     ctrl = safe_set.ctrl
     vgrid = ctrl.ss.grid(grid_points)
@@ -136,7 +136,7 @@ def check_delta_ball(safe_set: SafeSet, grid_points=181, ring_points=24):
     if n != 2:
         return {"passed": True, "skipped": "ball check shipped for planar states"}
     ang = np.linspace(0.0, 2.0 * np.pi, ring_points, endpoint=False)
-    ring = cert.delta * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    ring = delta * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     worst = -np.inf
     for v in vgrid:
         x = ctrl.ss.h(v) + ring

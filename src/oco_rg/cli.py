@@ -257,8 +257,7 @@ def cmd_constants(args) -> int:
     _json_dump(cert.as_dict(), out / "certificate.json")
     vgrid = bundle.ctrl.ss.grid(cfg.grid_points)
     gamma = np.asarray(compute_gamma(vgrid, bundle.poly, bundle.ctrl), dtype=float)
-    v_max = bundle.safe_set.certificate.V_max if bundle.safe_set.certificate else float(np.min(gamma))
-    delta = bundle.safe_set.certificate.delta if bundle.safe_set.certificate else float("nan")
+    v_max, delta = bundle.safe_set.certificate.V_max, bundle.safe_set.certificate.delta
     K = bundle.ctrl.gain(vgrid)
     P = bundle.ctrl.lyap_weight(vgrid)
     m, n = K.shape[-2], K.shape[-1]

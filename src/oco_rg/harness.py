@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -419,6 +419,11 @@ def fit_exponential_envelope(ctrl: TrackingController, x, v, horizon):
         # decay hit the round-off floor before the long-gap band: fall back
         # to short gaps (conservative for overshooting transients)
         lam, informative = worst_rate(1)
+        if informative and (E[:, 1:] == 0.0).any(axis=1).all():
+            # deadbeat after more than one step (shift register, p >= 2):
+            # short-gap ratios carry no rate, so fix it at 1/2 and let the
+            # gain cover the transient
+            lam = 0.5
     if lam >= 1.0:
         raise StabilityEstimationError(
             f"fitted envelope rate {lam:.6f} >= 1; closed loop not contractive on samples"
@@ -570,14 +575,7 @@ class Certificate:
         return self.c0_coeff * (gap_x + self.l_h * abs(float(v0) - float(eta0)))
 
     def as_dict(self):
-        out = {}
-        for name in (
-            "l", "l_f", "l_g", "l_h", "l_s", "l_s_bound", "c_phi", "lam", "N",
-            "lam1", "lam2", "lam3", "lam_tilde", "l_V", "V_bar", "d_window",
-            "delta", "mu", "window_M", "epsilon", "best_effort", "quad_decay",
-            "c_lambda", "c_eps", "c0_coeff", "c_pl", "kappa_ogd",
-        ):
-            out[name] = getattr(self, name)
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "converse"}
         out["notes"] = list(self.notes)
         return out
 
@@ -659,7 +657,7 @@ def estimate_certificate(plant: Plant, ctrl: TrackingController, safe_set: SafeS
     lam_bar = lam2 * float(np.max(np.linalg.norm(plant.x0 - ctrl.ss.h(vgrid), axis=-1)))
     V_bar = lam_bar + l_V * d_window / (1.0 - lam_tilde) if lam_tilde < 1.0 else math.inf
 
-    delta = safe_set.certificate.delta if safe_set.certificate else math.inf
+    delta = safe_set.certificate.delta
     mu = lam1 * delta if math.isfinite(delta) else lam1 * d_window
     if not math.isfinite(delta):
         notes.append("unbounded level: mu capped at the window diameter")
@@ -894,66 +892,53 @@ def run_memory_reduction(schedule: MemoryCostSchedule, oco_kind: str, T: int,
 # oracles shared by verification and tests
 
 
-def scalar_rg_grid_oracle(safe_set: SafeSet, x, r, v_prev, points=1_000_000):
-    """Largest admissible fraction on the uniform lattice {k/(points-1)}.
+def lattice_scan(safe_set: SafeSet, x, a, b, points, near=None):
+    """Admissible fractions k/(points-1) of the lattice a + k/(points-1) (b - a).
 
-    Evaluated in two stages (coarse blocks, then the exact lattice points of
-    the candidate blocks), which reproduces the full-lattice answer whenever
-    feasibility changes at most once inside a coarse block; the shipped
-    geometries satisfy that comfortably.
+    Two stages: 1001 coarse points, then every lattice point of each coarse
+    block where feasibility changes, and of the block holding ``near`` (for
+    a < b).  This reproduces the full-lattice answer near every transition
+    whenever feasibility changes at most once inside a coarse block; the
+    shipped geometries satisfy that comfortably.  Returns the fractions in
+    increasing order, none when no coarse point is admissible.
     """
     x = np.asarray(x, dtype=float)
-    n_coarse = 1001
-    coarse_idx = np.unique(np.linspace(0, points - 1, n_coarse).astype(np.int64))
-    betas = coarse_idx / (points - 1)
-    vs = v_prev + betas * (r - v_prev)
-    feas = np.asarray(safe_set.contains(
-        np.broadcast_to(x, vs.shape + x.shape), vs))
+
+    def feasible(vs):
+        return np.asarray(safe_set.contains(np.broadcast_to(x, vs.shape + x.shape), vs))
+
+    coarse = np.unique(np.linspace(0, points - 1, 1001).astype(np.int64))
+    vs = a + coarse / (points - 1) * (b - a)
+    feas = feasible(vs)
     if not feas.any():
-        return 0.0
-    last = int(np.flatnonzero(feas)[-1])
-    lo_idx = coarse_idx[last]
-    hi_idx = coarse_idx[last + 1] if last + 1 < len(coarse_idx) else coarse_idx[-1]
-    fine_idx = np.arange(lo_idx, hi_idx + 1)
-    betas = fine_idx / (points - 1)
-    vs = v_prev + betas * (r - v_prev)
-    feas = np.asarray(safe_set.contains(np.broadcast_to(x, vs.shape + x.shape), vs))
-    return float(betas[np.flatnonzero(feas)[-1]])
+        return np.empty(0)
+    blocks = set(np.flatnonzero(np.diff(feas.astype(int)) != 0).tolist())
+    if near is not None:
+        near_block = int(np.searchsorted(vs, near) - 1)
+        if 0 <= near_block < len(coarse) - 1:
+            blocks.add(near_block)
+    found = [coarse[feas]]
+    for k in blocks:
+        fine = np.arange(coarse[k], coarse[k + 1] + 1)
+        found.append(fine[feasible(a + fine / (points - 1) * (b - a))])
+    return np.unique(np.concatenate(found)) / (points - 1)
+
+
+def scalar_rg_grid_oracle(safe_set: SafeSet, x, r, v_prev, points=1_000_000):
+    """Largest admissible fraction on the uniform lattice {k/(points-1)} of
+    the segment from v_prev to r (``lattice_scan``); 0 when none is found."""
+    betas = lattice_scan(safe_set, x, v_prev, r, points)
+    return float(betas[-1]) if betas.size else 0.0
 
 
 def command_governor_grid_oracle(safe_set: SafeSet, x, r, points=1_000_000):
-    """Nearest admissible reference on the uniform window lattice (two-stage).
-
-    Fine-scans every coarse block where feasibility transitions, plus the
-    block containing r, so the result matches the full-lattice argmin of
-    |v - r| (smaller v on ties) under one transition per block.
-    """
+    """Nearest admissible reference to r on the uniform window lattice
+    (``lattice_scan``, also fine-scanning r's block), smaller v on ties;
+    None when none is found."""
     lo, hi = safe_set.window
-    x = np.asarray(x, dtype=float)
-    coarse_idx = np.unique(np.linspace(0, points - 1, 1001).astype(np.int64))
-    vs = lo + coarse_idx / (points - 1) * (hi - lo)
-    feas = np.asarray(safe_set.contains(np.broadcast_to(x, vs.shape + x.shape), vs))
-    if not feas.any():
+    fractions = lattice_scan(safe_set, x, lo, hi, points, near=r)
+    if not fractions.size:
         return None
-
-    best = None
-
-    def consider(cands):
-        nonlocal best
-        for cand in np.atleast_1d(cands):
-            cand = float(cand)
-            if best is None or (abs(cand - r), cand) < (abs(best - r), best):
-                best = cand
-
-    consider(vs[feas])
-    blocks = set(np.flatnonzero(np.diff(feas.astype(int)) != 0).tolist())
-    r_block = int(np.searchsorted(vs, r) - 1)
-    if 0 <= r_block < len(coarse_idx) - 1:
-        blocks.add(r_block)
-    for bpos in blocks:
-        fine = np.arange(coarse_idx[bpos], coarse_idx[bpos + 1] + 1)
-        vv = lo + fine / (points - 1) * (hi - lo)
-        ff = np.asarray(safe_set.contains(np.broadcast_to(x, vv.shape + x.shape), vv))
-        if ff.any():
-            consider(vv[ff])
-    return best
+    vs = lo + fractions * (hi - lo)
+    gap = np.abs(vs - r)
+    return float(vs[gap == gap.min()].min())

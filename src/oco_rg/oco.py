@@ -303,13 +303,7 @@ def golden_lanes(f, a, b, tol=1e-10):
 
 def _bracket(cost, t, points):
     """Grid cells around the smallest of ``points`` scanned cost values at index t."""
-    scan = getattr(cost, "scan", None)
-    if scan is None:  # any object with window and eval
-        lo, hi = cost.window
-        grid = np.linspace(lo, hi, points)
-        vals = np.asarray(cost.eval(t, grid))
-    else:
-        grid, vals = scan(t, points)
+    grid, vals = cost.scan(t, points)
     i = int(np.argmin(vals))
     return grid[max(i - 1, 0)], grid[min(i + 1, points - 1)]
 

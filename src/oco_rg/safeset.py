@@ -58,33 +58,32 @@ def compute_gamma(v, poly: ConstraintPolytope, ctrl: TrackingController):
 
 @dataclass(frozen=True)
 class LevelCertificate:
-    """Calibration record for a uniform safe level."""
+    """Calibrated level: V_max, the smallest per-reference level on the grid,
+    and the radius delta of a state ball around h(v) inside every slice."""
 
     V_max: float
-    k_star: int | None
     delta: float
-    gamma_max: float
 
 
 class SafeSet:
     """Sublevel safe set {(x, v) : V(x, v) <= level(v)} on a reference window.
 
-    kind is "fixed" (constant level) or "variable" (closed-form level per
-    reference).  ``level_scale`` multiplies the calibrated level; it exists
-    for fault-injection experiments and defaults to 1.  Queries are pure and
-    broadcast over leading axes.
+    kind is "fixed" (the constant level ``certificate.V_max``) or "variable"
+    (closed-form level per reference).  ``level_scale`` multiplies the
+    calibrated level; it exists for fault-injection experiments and defaults
+    to 1.  Queries are pure and broadcast over leading axes.
     """
 
     def __init__(self, kind, ctrl: TrackingController, poly: ConstraintPolytope,
-                 level_value=None, level_scale=1.0, certificate=None):
+                 certificate: LevelCertificate, level_scale=1.0):
         if kind not in ("fixed", "variable"):
             raise ValueError(f"unknown safe-set kind {kind!r}")
         self.kind = kind
         self.ctrl = ctrl
         self.poly = poly
         self.level_scale = float(level_scale)
-        self._level_value = level_value
         self.certificate = certificate
+        self._fixed_level = self.level_scale * certificate.V_max
         # one-state, one-reference queries on a fixed level skip numpy dispatch
         self._scalar_V = ctrl.scalar_lyapunov if kind == "fixed" else None
 
@@ -106,7 +105,7 @@ class SafeSet:
     def level(self, v):
         self._check_window(v)
         if self.kind == "fixed":
-            return self.level_scale * self._level_value * np.ones_like(np.asarray(v, dtype=float))
+            return self._fixed_level * np.ones_like(np.asarray(v, dtype=float))
         return self.level_scale * compute_gamma(v, self.poly, self.ctrl)
 
     def contains(self, x, v):
@@ -119,7 +118,7 @@ class SafeSet:
         if (self._scalar_V is not None and isinstance(v, float)
                 and isinstance(x, np.ndarray) and x.ndim == 1):
             self._check_window(v)
-            return self._scalar_V(x, v) <= self.level_scale * self._level_value
+            return self._scalar_V(x, v) <= self._fixed_level
         lev = self.level(v)
         return self.ctrl.lyapunov(x, v) <= lev
 
@@ -173,68 +172,31 @@ class SafeSet:
         return self.bisect_v(x, a, a_out), self.bisect_v(x, b, b_out)
 
 
-def _ball_radius(level, ctrl, vgrid):
-    lam_max = np.linalg.eigvalsh(ctrl.lyap_weight(vgrid)).max(axis=-1)
-    return float(np.min(np.sqrt(level / lam_max)))
+def calibrate_level(poly: ConstraintPolytope, ctrl: TrackingController, grid):
+    """Level certificate on a reference grid.
 
-
-def calibrate_fixed_level(poly: ConstraintPolytope, ctrl: TrackingController, grid):
-    """Uniform level V_max = min over the grid of the per-reference level.
-
-    Also certifies the radius delta of a state ball around h(v) that is
-    contained in every slice, and a diagnostic settling horizon k_star
-    (steps for the worst observed quadratic contraction to pull the largest
-    per-reference level under the uniform one).
+    V_max is the smallest per-reference level on the grid (the uniform level
+    of a fixed set); delta is the radius of the largest state ball around
+    h(v) inside {V(., v) <= V_max} at every grid point, inf when the level is
+    unbounded.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("calibration grid is empty")
-    gamma = compute_gamma(grid, poly, ctrl)
-    V_max = float(np.min(gamma))
+    V_max = float(np.min(compute_gamma(grid, poly, ctrl)))
     if not np.isfinite(V_max):
-        cert = LevelCertificate(V_max=V_max, k_star=None, delta=np.inf,
-                                gamma_max=float(np.max(gamma)))
-        return V_max, cert
+        return LevelCertificate(V_max=V_max, delta=np.inf)
     if V_max <= 0.0:
         raise ReferenceInfeasibleError("non-positive level on the calibration grid")
-    delta = _ball_radius(V_max, ctrl, grid)
-
-    # worst one-step contraction of V on level-set boundary samples
-    angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    factor = 0.0
-    sub = grid[:: max(1, len(grid) // 45)]
-    for v in sub:
-        P = ctrl.lyap_weight(v)
-        evals, evecs = np.linalg.eigh(P)
-        P_inv_half = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-        ring = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        if ring.shape[-1] != P.shape[-1]:  # only 2-state plants sampled here
-            continue
-        x = ctrl.ss.h(v) + np.sqrt(compute_gamma(v, poly, ctrl)) * ring @ P_inv_half.T
-        V0 = ctrl.lyapunov(x, v)
-        V1 = ctrl.lyapunov(ctrl.closed_loop(x, v), v)
-        factor = max(factor, float(np.max(V1 / V0)))
-    gamma_max = float(np.max(gamma))
-    if 0.0 < factor < 1.0:
-        k_star = int(np.ceil(np.log(V_max / gamma_max) / np.log(factor))) if gamma_max > V_max else 0
-    else:
-        k_star = None
-    cert = LevelCertificate(V_max=V_max, k_star=k_star, delta=delta, gamma_max=gamma_max)
-    return V_max, cert
+    lam_max = np.linalg.eigvalsh(ctrl.lyap_weight(grid)).max(axis=-1)
+    return LevelCertificate(V_max=V_max, delta=float(np.min(np.sqrt(V_max / lam_max))))
 
 
 def fixed_level_set(poly, ctrl, grid_points=181, level_scale=1.0):
-    grid = ctrl.ss.grid(grid_points)
-    V_max, cert = calibrate_fixed_level(poly, ctrl, grid)
-    return SafeSet("fixed", ctrl, poly, level_value=V_max,
-                   level_scale=level_scale, certificate=cert)
+    cert = calibrate_level(poly, ctrl, ctrl.ss.grid(grid_points))
+    return SafeSet("fixed", ctrl, poly, cert, level_scale=level_scale)
 
 
 def variable_level_set(poly, ctrl, grid_points=181, level_scale=1.0):
-    grid = ctrl.ss.grid(grid_points)
-    gamma = compute_gamma(grid, poly, ctrl)
-    V_max = float(np.min(gamma))
-    delta = _ball_radius(V_max, ctrl, grid) if np.isfinite(V_max) else np.inf
-    cert = LevelCertificate(V_max=V_max, k_star=None, delta=delta,
-                            gamma_max=float(np.max(gamma)))
-    return SafeSet("variable", ctrl, poly, level_scale=level_scale, certificate=cert)
+    cert = calibrate_level(poly, ctrl, ctrl.ss.grid(grid_points))
+    return SafeSet("variable", ctrl, poly, cert, level_scale=level_scale)

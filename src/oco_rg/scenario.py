@@ -194,9 +194,10 @@ def validate_config(cfg: ScenarioConfig):
     for attr in ("tau", "step_size", "q_period", "memory_target_period", "lqr_q", "lqr_r"):
         if not getattr(cfg, attr) > 0:
             raise ConfigError(f"{attr} must be positive, got {getattr(cfg, attr)!r}")
-    for attr in ("register_m", "register_p"):
-        if getattr(cfg, attr) < 1:
-            raise ConfigError(f"{attr} must be >= 1, got {getattr(cfg, attr)!r}")
+    if cfg.register_m != 1:  # the register's steady-state map takes one input channel
+        raise ConfigError(f"register_m must be 1, got {cfg.register_m!r}")
+    if cfg.register_p < 1:
+        raise ConfigError(f"register_p must be >= 1, got {cfg.register_p!r}")
     for name in ("c", "theta", "u"):
         lo, hi = getattr(cfg, f"{name}_min"), getattr(cfg, f"{name}_max")
         if not lo <= hi:

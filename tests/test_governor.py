@@ -41,6 +41,20 @@ def literal_beta_scan(safe_set, x, r, v_prev, points=1_000_000, chunk=200_000):
     return best if found else 0.0
 
 
+def literal_v_scan(safe_set, x, r, points):
+    """Nearest admissible reference to r on the full window lattice, smaller
+    v on ties, in one stage."""
+    lo, hi = safe_set.window
+    vs = lo + np.arange(points) / (points - 1) * (hi - lo)
+    feas = np.asarray(safe_set.contains(
+        np.broadcast_to(np.asarray(x, float), vs.shape + np.shape(x)), vs))
+    if not feas.any():
+        return None
+    vs = vs[feas]
+    gap = np.abs(vs - r)
+    return float(vs[gap == gap.min()].min())
+
+
 class SliceStub(SafeSet):
     """Safe set whose reference slice is {v in [-1, 1] : admissible(v)} at every state."""
 
@@ -124,7 +138,7 @@ class TestScalarGovernor:
         ctrl = cstr.ctrl
         array_only = SafeSet("fixed", TrackingController(ctrl.plant, ctrl.ss, ctrl.gain,
                                                          ctrl.lyap_weight),
-                             cstr.poly, level_value=cstr.fixed.certificate.V_max)
+                             cstr.poly, cstr.fixed.certificate)
         x, v_prev, r = make_instances(cstr.fixed, 500, seed=84)
         active = 0
         for i in range(500):
@@ -159,6 +173,13 @@ class TestCommandGovernor:
             v = command_governor(x[i], float(r[i]), cstr.variable)
             v_star = command_governor_grid_oracle(cstr.variable, x[i], float(r[i]))
             assert abs(v - v_star) <= 2e-6
+
+    def test_two_stage_oracle_equals_literal_scan(self, cstr):
+        x, _, r = make_instances(cstr.variable, 20, seed=85)
+        for i in range(20):
+            fast = command_governor_grid_oracle(cstr.variable, x[i], float(r[i]),
+                                                points=100_001)
+            assert fast == literal_v_scan(cstr.variable, x[i], float(r[i]), 100_001)
 
     @pytest.mark.parametrize("kind", ["fixed", "variable"])
     def test_is_reference_clipped_onto_slice(self, cstr, kind):

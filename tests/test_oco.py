@@ -53,23 +53,27 @@ def loop_golden_section(f, a, b, tol=1e-10):
     return 0.5 * (a + b)
 
 
-class Quad:
+class Toy:
+    """Cost double on the reactor window: ``eval`` plus the uniform-grid ``scan``."""
+
     window = (0.4, 0.85)
 
+    def scan(self, t, points):
+        grid = np.linspace(*self.window, points)
+        return grid, self.eval(t, grid)
+
+
+class Quad(Toy):
     def eval(self, t, v):
         return (np.asarray(v, float) - 0.57) ** 2
 
 
-class Slope:
-    window = (0.4, 0.85)
-
+class Slope(Toy):
     def eval(self, t, v):
         return -np.asarray(v, float)  # decreasing: optimum at v_hi
 
 
-class Rise:
-    window = (0.4, 0.85)
-
+class Rise(Toy):
     def eval(self, t, v):
         return np.asarray(v, float)
 

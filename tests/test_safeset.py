@@ -10,7 +10,7 @@ from oco_rg import (
     SteadyStateMap,
     TrackingController,
     box_polytope,
-    calibrate_fixed_level,
+    calibrate_level,
     compute_gamma,
     fixed_level_set,
     register_controller,
@@ -84,9 +84,8 @@ class TestFixedLevelCalibration:
     def test_single_row_constant_margin(self):
         ctrl = identity_tracking()
         poly = ConstraintPolytope(np.array([[1.0, 0.0]]), np.zeros((1, 1)), np.array([0.1]))
-        V_max, cert = calibrate_fixed_level(poly, ctrl, np.linspace(-1, 1, 11))
-        assert V_max == pytest.approx(0.01)
-        assert cert.V_max == V_max
+        cert = calibrate_level(poly, ctrl, np.linspace(-1, 1, 11))
+        assert cert.V_max == pytest.approx(0.01)
         assert cert.delta == pytest.approx(0.1)
 
     def test_cstr_level_order_of_magnitude(self, cstr):
@@ -97,20 +96,24 @@ class TestFixedLevelCalibration:
 
     def test_certificate_ordering(self, cstr):
         cert = cstr.fixed.certificate
-        assert cert.V_max <= cert.gamma_max
+        gamma = compute_gamma(cstr.ctrl.ss.grid(cstr.cfg.grid_points), cstr.poly, cstr.ctrl)
+        assert cert.V_max == gamma.min() > 0.0
         assert cert.delta > 0.0
-        assert cert.k_star is None or cert.k_star >= 0
+
+    def test_both_kinds_carry_one_certificate(self, cstr):
+        # one calibration on one grid; the kinds differ only in how level(v) reads it
+        assert cstr.fixed.certificate == cstr.variable.certificate
 
     def test_grid_refinement_stability(self, cstr):
         grid181 = cstr.ctrl.ss.grid(181)
         grid361 = cstr.ctrl.ss.grid(361)
-        v1, _ = calibrate_fixed_level(cstr.poly, cstr.ctrl, grid181)
-        v2, _ = calibrate_fixed_level(cstr.poly, cstr.ctrl, grid361)
+        v1 = calibrate_level(cstr.poly, cstr.ctrl, grid181).V_max
+        v2 = calibrate_level(cstr.poly, cstr.ctrl, grid361).V_max
         assert abs(v2 - v1) / v1 < 0.05
 
     def test_empty_grid_rejected(self, cstr):
         with pytest.raises(ValueError):
-            calibrate_fixed_level(cstr.poly, cstr.ctrl, np.array([]))
+            calibrate_level(cstr.poly, cstr.ctrl, np.array([]))
 
 
 class TestMembership:
@@ -226,7 +229,7 @@ def spy_safe_set(cstr, kind):
 
     spied = TrackingController(ctrl.plant, ctrl.ss, ctrl.gain, ctrl.lyap_weight,
                                scalar_lyapunov=spy)
-    return SafeSet(kind, spied, cstr.poly, level_value=cstr.fixed.certificate.V_max), calls
+    return SafeSet(kind, spied, cstr.poly, cstr.fixed.certificate), calls
 
 
 class TestScalarKernel:

@@ -116,9 +116,10 @@ class TestSimulate:
         ("[tracking]\nlqr_q = -1", "lqr_q"),
         ("[tracking]\nlqr_r = 0", "lqr_r"),
         ("[plant]\nkind = shift_register\nm = 0", "register_m"),
+        ("[plant]\nkind = shift_register\nm = 2", "register_m"),
         ("[plant]\nkind = shift_register\np = 0", "register_p"),
     ], ids=["q_period", "step_size", "tau", "x0", "empty_interval", "memory_target_period",
-            "lqr_q", "lqr_r", "register_m", "register_p"])
+            "lqr_q", "lqr_r", "register_m", "register_m_two", "register_p"])
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, entries, key):
         cfg = write(tmp_path, f"{entries}\n[run]\nsteps = 50\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
@@ -186,6 +187,16 @@ class TestSimulate:
         cfg = load_config(memory_config(tmp_path, 5, "p = 2")).with_overrides(r0=0.2)
         assert cfg.x0 is None
         assert build_scenario(cfg).plant.x0.tolist() == [0.2, 0.2]
+
+    def test_register_with_two_slots_finishes(self, tmp_path):
+        # a deadbeat loop of two steps: the envelope rate is fixed at 1/2, so
+        # the converse Lyapunov sum stays two steps long
+        cfg = memory_config(tmp_path, 50, "p = 2")
+        out = tmp_path / "p2"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["certificate"]["lam"], report["certificate"]["N"]) == (0.5, 2)
+        assert main(["verify", "--config", str(cfg)]) == 0
 
     def test_override_flags(self, tmp_path):
         cfg = write(tmp_path, FAST_CSTR)
