@@ -52,9 +52,9 @@ print(f"sum length N = {cert.N}, decay factor {cert.lam_tilde:.2f}")
 print("\n=== Post-committed costs floor the closed-loop regret ===")
 from oco_rg import register_controller, shift_register_plant
 
-plant = shift_register_plant(1, 1)
-ctrl = register_controller(plant, 1, 1, -0.9, 0.9)
-adv = adversarial_lower_bound(plant, ctrl, "scripted", T=300)
+plant = shift_register_plant(1)
+ctrl = register_controller(plant, -0.9, 0.9)
+adv = adversarial_lower_bound(plant, ctrl, T=300)
 print(f"scripted drifting reference: closed-loop regret {adv['regret']:.4f}")
 print(f"online regret pinned at {adv['regret_oco']:.2e}; the gap is the")
 print("transient cost no algorithm can avoid once costs react to its choices")

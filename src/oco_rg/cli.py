@@ -196,7 +196,7 @@ def cmd_verify(args) -> int:
     results["governor_maximality"] = (check_governor_maximality(
         bundle.safe_set, seed=cfg.seed, governor=cfg.governor), False)
     results["causality"] = (check_causality(ledger), False)
-    adv = adversarial_lower_bound(bundle.plant, bundle.ctrl, "scripted", T=min(cfg.steps, 400))
+    adv = adversarial_lower_bound(bundle.plant, bundle.ctrl, T=min(cfg.steps, 400))
     results["adversarial_floor"] = ({
         "passed": adv["gap"] >= -1e-9 * cfg.steps,
         "regret": adv["regret"], "regret_oco": adv["regret_oco"]}, False)
@@ -234,8 +234,7 @@ def cmd_verify(args) -> int:
         detail = {k: v for k, v in res.items() if k != "passed"}
         print(f"verify {name:24s} {status:15s} {json.dumps(detail, default=str)[:160]}")
     if cfg.plant_kind == "shift_register":
-        mem = run_memory_reduction(bundle.schedule, cfg.oco, cfg.steps,
-                                   m=cfg.register_m, p=cfg.register_p,
+        mem = run_memory_reduction(bundle.schedule, cfg.oco, cfg.steps, p=cfg.register_p,
                                    u_lo=cfg.u_min, u_hi=cfg.u_max,
                                    r0=cfg.r0, seed=cfg.seed, gamma=cfg.step_size)
         ok = mem["bound"]["holds"]

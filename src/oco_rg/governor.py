@@ -9,9 +9,9 @@ keeps state: the caller carries v from one step to the next.
 
 from __future__ import annotations
 
-from .safeset import SafeSet, SliceNotIntervalError
+from .safeset import SafeSet, SliceNotIntervalError, bisect
 
-BISECTION_ITERS = 50  # beta resolution ~1e-15, far below the 1e-10 contract
+BETA_TOL = 2.0**-50  # exactly 50 halvings of [0, 1], far below the 1e-10 contract
 
 
 class InvarianceViolationError(RuntimeError):
@@ -53,14 +53,9 @@ def scalar_rg(x, r, v_prev, safe_set: SafeSet):
             f"V = {float(safe_set.ctrl.lyapunov(x, v_prev)):.6g} > "
             f"level = {float(safe_set.level(v_prev)):.6g}"
         )
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        if bool(safe_set.contains(x, v_prev + mid * (r - v_prev))):
-            lo = mid
-        else:
-            hi = mid
-    return v_prev + lo * (r - v_prev), lo
+    step = r - v_prev
+    beta = bisect(lambda b: safe_set.contains(x, v_prev + b * step), 0.0, 1.0, BETA_TOL)
+    return v_prev + beta * step, beta
 
 
 def command_governor(x, r, safe_set: SafeSet):

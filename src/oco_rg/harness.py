@@ -37,7 +37,7 @@ from .oco import (
     q_linear_regret_constants,
 )
 from .plant import Plant, box_polytope, shift_register_plant
-from .safeset import SafeSet, variable_level_set
+from .safeset import SafeSet, SliceNotIntervalError, variable_level_set
 from .tracking import (
     ConverseLyapunov,
     StabilityEstimationError,
@@ -816,14 +816,15 @@ def lyapunov_window_diagnostics(ledger: RegretLedger, cert: Certificate,
 # adversarial construction and memory reduction
 
 
-def adversarial_lower_bound(plant: Plant, ctrl: TrackingController, oco_kind: str,
-                            T: int, x0=None, reference_path=None):
+def adversarial_lower_bound(plant: Plant, ctrl: TrackingController, T: int, x0=None,
+                            reference_path=None):
     """Run the post-commitment cost construction and return both regrets.
 
     After each reference commit the stage cost becomes the squared distance
     to that reference's steady pair, so the induced steady-state cost of the
     committed reference is exactly zero and the closed-loop regret dominates
-    the online regret by the accumulated stage costs.
+    the online regret by the accumulated stage costs.  References follow
+    ``reference_path``, a sinusoid by default: a causal update stays at r_0.
     """
     lo, hi = ctrl.ss.window
     sched = AdversarialCostSchedule(T)
@@ -832,20 +833,11 @@ def adversarial_lower_bound(plant: Plant, ctrl: TrackingController, oco_kind: st
     if reference_path is None:
         mid, amp = 0.5 * (lo + hi), 0.25 * (hi - lo)
         reference_path = [mid + amp * math.sin(2.0 * math.pi * t / max(T, 1)) for t in range(T)]
-    state = OcoState(r_prev=float(reference_path[0]))
     acc_stage = KahanSum()
     acc_oco = KahanSum()
     rs = []
     for t in range(T):
-        if oco_kind == "scripted" or t == 0:
-            r = float(reference_path[t])
-        elif oco_kind == "ogd":
-            r = ogd_step(state, ss_cost, t)
-        elif oco_kind == "prev_opt":
-            r = prev_opt_step(state, ss_cost, t)
-        else:
-            raise ValueError(f"unknown online-update kind {oco_kind!r}")
-        state.r_prev = r
+        r = float(reference_path[t])
         rs.append(r)
         h_r = ctrl.ss.h(r)
         u_r = float(ctrl.ss.u_ss(r))
@@ -864,21 +856,18 @@ def adversarial_lower_bound(plant: Plant, ctrl: TrackingController, oco_kind: st
 
 
 def run_memory_reduction(schedule: MemoryCostSchedule, oco_kind: str, T: int,
-                         m=1, p=1, u_lo=-1.0, u_hi=1.0, window_shrink=0.9,
-                         r0=0.0, seed=12345, gamma=2.5e-4):
+                         p=1, u_lo=-1.0, u_hi=1.0, r0=0.0, seed=12345, gamma=2.5e-4):
     """Embed a memory-cost problem in the framework via the shift register.
 
     Constraints act on the input only, so the per-reference level is
     unbounded, the governor passes references through, and u_t = r_t as the
-    reduction prescribes.  ``gamma`` is the step size of the online gradient
-    update.  Returns the ledger, the register certificate, and the
-    regret-bound evaluation.
+    reduction prescribes.  The reference window is the input box shrunk to
+    90%.  ``gamma`` is the step size of the online gradient update.  Returns
+    the ledger, the register certificate, and the regret-bound evaluation.
     """
-    plant = shift_register_plant(m, p, x0=np.full(m * p, r0))
-    lo = u_lo * window_shrink
-    hi = u_hi * window_shrink
-    ctrl = register_controller(plant, m, p, lo, hi)
-    poly = box_polytope([(None, None)] * (m * p), [(u_lo, u_hi)] * m)
+    plant = shift_register_plant(p, x0=np.full(p, r0))
+    ctrl = register_controller(plant, u_lo * 0.9, u_hi * 0.9)
+    poly = box_polytope([(None, None)] * p, [(u_lo, u_hi)])
     safe_set = variable_level_set(poly, ctrl, grid_points=51)
     ledger = run_closed_loop(plant, ctrl, safe_set, "scalar", oco_kind, schedule,
                              T=T, r0=r0, gamma=gamma)
@@ -898,9 +887,10 @@ def lattice_scan(safe_set: SafeSet, x, a, b, points, near=None):
     Two stages: 1001 coarse points, then every lattice point of each coarse
     block where feasibility changes, and of the block holding ``near`` (for
     a < b).  This reproduces the full-lattice answer near every transition
-    whenever feasibility changes at most once inside a coarse block; the
-    shipped geometries satisfy that comfortably.  Returns the fractions in
-    increasing order, none when no coarse point is admissible.
+    whenever feasibility changes at most once inside a coarse block; a
+    scanned block where it changes more than once raises
+    SliceNotIntervalError.  Returns the fractions in increasing order, none
+    when no coarse point is admissible.
     """
     x = np.asarray(x, dtype=float)
 
@@ -920,7 +910,11 @@ def lattice_scan(safe_set: SafeSet, x, a, b, points, near=None):
     found = [coarse[feas]]
     for k in blocks:
         fine = np.arange(coarse[k], coarse[k + 1] + 1)
-        found.append(fine[feasible(a + fine / (points - 1) * (b - a))])
+        fine_feas = feasible(a + fine / (points - 1) * (b - a))
+        if np.count_nonzero(np.diff(fine_feas)) > 1:
+            raise SliceNotIntervalError(f"feasibility at x = {x} changes more than once "
+                                        f"in lattice block {coarse[k]}..{coarse[k + 1]}")
+        found.append(fine[fine_feas])
     return np.unique(np.concatenate(found)) / (points - 1)
 
 

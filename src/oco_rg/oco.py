@@ -66,13 +66,6 @@ class CstrCostSchedule:
         gx[..., 0] = 2.0 * self.weight(t) * (x[..., 0] - self.target(t))
         return gx, 2.0 * u
 
-    def plateaus(self, min_length=200):
-        """Maximal intervals [a, b) of constant target, at least min_length long."""
-        segs = []
-        if self.plateau_end - self.ramp_end >= min_length:
-            segs.append((self.ramp_end, self.plateau_end))
-        return segs
-
 
 class MemoryCostSchedule:
     """Costs on (previous inputs, current input) for the register embedding.
@@ -135,11 +128,6 @@ class AdversarialCostSchedule:
         u = np.asarray(u, dtype=float)
         dx = x - self._h_r[t]
         return np.sum(dx * dx, axis=-1) + (u - self._u_r[t]) ** 2
-
-    def stage_grad(self, t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return 2.0 * (x - self._h_r[t]), 2.0 * (u - self._u_r[t])
 
 
 class SteadyStateCost:
@@ -360,43 +348,29 @@ def prev_opt_step(state: OcoState, cost, t: int):
 class QLinearConstants:
     """Regret/path-length constants for a q-linearly convergent online update.
 
-    ``c_oco`` and ``c_pl`` follow the closed-form displays; the ``patched``
-    variants replace the kappa/(1-kappa) factor on the variation term with
-    1/(1-kappa), which is what the derivation actually yields and is the
-    coefficient used for verification.
+    ``c_oco0`` and ``c_pl0`` multiply the initial gap; the variation
+    coefficients ``c_oco_patched`` and ``c_pl_patched`` carry 1/(1-kappa)
+    where the closed-form display has kappa/(1-kappa), since 1/(1-kappa) is
+    what the derivation actually yields.
     """
 
     c_oco0: float
-    c_oco: float
     c_pl0: float
-    c_pl: float
     c_oco_patched: float
     c_pl_patched: float
     kappa: float
 
 
-def q_linear_regret_constants(l_s, kappa, S=None) -> QLinearConstants:
+def q_linear_regret_constants(l_s, kappa) -> QLinearConstants:
     """Constants bounding regret and path length by the optimizer variation."""
     if not 0.0 <= kappa < 1.0:
         raise ValueError(f"kappa = {kappa} must lie in [0, 1)")
-    if S is None:
-        s_hi = s_lo = 1.0
-    else:
-        evals = np.linalg.eigvalsh(np.asarray(S, dtype=float))
-        if evals.min() <= 0:
-            raise ValueError("weighting matrix must be positive definite")
-        s_hi = math.sqrt(evals.max())   # ||S^{1/2}||
-        s_lo = 1.0 / math.sqrt(evals.min())  # ||S^{-1/2}||
-    c_kappa = kappa / (1.0 - kappa)
-    c_oco0 = l_s * s_lo * (1.0 + c_kappa * s_hi)
-    c_oco = l_s * s_lo * c_kappa * s_hi
-    c_oco_patched = l_s * s_lo * s_hi / (1.0 - kappa)
+    c_oco0 = l_s * (1.0 + kappa / (1.0 - kappa))
+    c_oco_patched = l_s / (1.0 - kappa)
     factor = (1.0 + kappa) / l_s
     return QLinearConstants(
         c_oco0=c_oco0,
-        c_oco=c_oco,
         c_pl0=factor * c_oco0,
-        c_pl=factor * c_oco,
         c_oco_patched=c_oco_patched,
         c_pl_patched=factor * c_oco_patched,
         kappa=kappa,

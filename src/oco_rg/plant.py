@@ -99,33 +99,24 @@ def cstr_plant(params: CstrParams | None = None, x0=None) -> Plant:
     return Plant(n=2, m=1, step=step, x0=x0, name="cstr")
 
 
-def shift_register_plant(m: int, p: int, x0=None) -> Plant:
+def shift_register_plant(p: int, x0=None) -> Plant:
     """Linear register stacking the last p inputs: x_t = (u_{t-p}, ..., u_{t-1}).
 
     The step shifts the register and appends the new input, so a constant
-    input v reaches the steady state H v (p-fold stack of identities) in
-    exactly p steps.
+    input v reaches the steady state (v, ..., v) in exactly p steps.
     """
-    if m < 1 or p < 1:
-        raise ValueError("shift_register_plant requires m >= 1 and p >= 1")
-    n = m * p
-    if x0 is None:
-        x0 = np.zeros(n)
-    x0 = np.asarray(x0, dtype=float)
+    if p < 1:
+        raise ValueError("shift_register_plant requires p >= 1")
+    x0 = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float)
 
     def step(x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if m == 1 and u.ndim == x.ndim - 1:
+        if u.ndim == x.ndim - 1:
             u = u[..., None]
-        return np.concatenate([x[..., m:], u], axis=-1)
+        return np.concatenate([x[..., 1:], u], axis=-1)
 
-    return Plant(n=n, m=m, step=step, x0=x0, name=f"register(m={m},p={p})")
-
-
-def register_steady_stack(m: int, p: int) -> np.ndarray:
-    """The matrix H with h(v) = H v for the shift register."""
-    return np.tile(np.eye(m), (p, 1))
+    return Plant(n=p, m=1, step=step, x0=x0, name=f"register(p={p})")
 
 
 @dataclass(frozen=True)

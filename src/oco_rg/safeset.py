@@ -56,6 +56,18 @@ def compute_gamma(v, poly: ConstraintPolytope, ctrl: TrackingController):
     return np.min(levels, axis=-1)
 
 
+def bisect(admissible, inside, outside, width):
+    """Halve the interval from an admissible ``inside`` to an inadmissible
+    ``outside`` while it is wider than ``width``; return its admissible end."""
+    while abs(outside - inside) > width:
+        mid = 0.5 * (inside + outside)
+        if admissible(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
 @dataclass(frozen=True)
 class LevelCertificate:
     """Calibrated level: V_max, the smallest per-reference level on the grid,
@@ -149,15 +161,7 @@ class SafeSet:
         toward an inadmissible ``outside`` (``inside`` itself when None)."""
         if outside is None:
             return inside
-        for _ in range(200):
-            if abs(outside - inside) <= SLICE_TOL:
-                break
-            mid = 0.5 * (inside + outside)
-            if bool(self.contains(x, mid)):
-                inside = mid
-            else:
-                outside = mid
-        return inside
+        return bisect(lambda v: self.contains(x, v), inside, outside, SLICE_TOL)
 
     def cross_section_v(self, x):
         """Admissible reference interval (a, b) at state x, or None when empty.

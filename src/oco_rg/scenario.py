@@ -203,12 +203,19 @@ def validate_config(cfg: ScenarioConfig):
         if not lo <= hi:
             raise ConfigError(f"constraint interval [{name}_min, {name}_max] = "
                               f"[{lo}, {hi}] is empty")
+    for attr in ("q_amplitude", "ramp_end", "memory_weight"):
+        if not getattr(cfg, attr) >= 0:
+            raise ConfigError(f"{attr} must be >= 0, got {getattr(cfg, attr)!r}")
+    if not cfg.q_offset > cfg.q_amplitude:  # else the weight q_t turns the cost concave
+        raise ConfigError(f"q_offset = {cfg.q_offset!r} must exceed q_amplitude")
+    if cfg.plateau_end < cfg.ramp_end:
+        raise ConfigError(f"plateau_end = {cfg.plateau_end!r} is before ramp_end")
     if cfg.x0 is not None:
         if cfg.plant_kind == "cstr":
             n, what = 2, "2 entries (c, theta) for the reactor"
         else:
-            n = cfg.register_m * cfg.register_p
-            what = f"m * p = {n} entries for the register"
+            n = cfg.register_p
+            what = f"p = {n} entries for the register"
         if len(cfg.x0) != n:
             raise ConfigError(f"x0 must have {what}, got {len(cfg.x0)}")
 
@@ -244,11 +251,10 @@ def build_scenario(cfg: ScenarioConfig, safe_set_kind=None) -> ScenarioBundle:
             cbar_final=cfg.cbar_final, ramp_end=cfg.ramp_end,
             plateau_end=cfg.plateau_end)
     elif cfg.plant_kind == "shift_register":
-        m, p = cfg.register_m, cfg.register_p
-        x0 = np.full(m * p, cfg.r0) if cfg.x0 is None else cfg.x0
-        plant = shift_register_plant(m, p, x0=x0)
-        ctrl = register_controller(plant, m, p, cfg.v_min, cfg.v_max)
-        poly = box_polytope([(None, None)] * (m * p), [(cfg.u_min, cfg.u_max)] * m)
+        p = cfg.register_p
+        plant = shift_register_plant(p, x0=np.full(p, cfg.r0) if cfg.x0 is None else cfg.x0)
+        ctrl = register_controller(plant, cfg.v_min, cfg.v_max)
+        poly = box_polytope([(None, None)] * p, [(cfg.u_min, cfg.u_max)])
         schedule = MemoryCostSchedule(
             horizon=cfg.steps, p=p, weight=cfg.memory_weight,
             target_amplitude=cfg.memory_target_amplitude,

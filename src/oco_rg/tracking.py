@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .plant import CstrParams, Plant, register_steady_stack
+from .plant import CstrParams, Plant
 
 log = logging.getLogger("oco_rg")
 
@@ -158,22 +158,17 @@ def cstr_steady_state_map(params: CstrParams, v_lo=0.4, v_hi=0.85) -> SteadyStat
                           du_ss=du_ss, fast=CstrScalarOps(params))
 
 
-def register_steady_state_map(m: int, p: int, v_lo, v_hi) -> SteadyStateMap:
-    """Shift-register steady states h(v) = H v (p-fold stack), u_ss(v) = v."""
-    H = register_steady_stack(m, p)
+def register_steady_state_map(p: int, v_lo, v_hi) -> SteadyStateMap:
+    """Shift-register steady states h(v) = (v, ..., v) (p entries), u_ss(v) = v."""
 
     def h(v):
-        v = np.asarray(v, dtype=float)
-        if m == 1:
-            return np.repeat(v[..., None], p, axis=-1)
-        return v @ H.T
+        return np.repeat(np.asarray(v, dtype=float)[..., None], p, axis=-1)
 
     def u_ss(v):
         return np.asarray(v, dtype=float)
 
     def dh(v):
-        v = np.asarray(v, dtype=float)
-        return np.ones(v.shape + (m * p,))
+        return np.ones(np.asarray(v, dtype=float).shape + (p,))
 
     def du_ss(v):
         return np.ones_like(np.asarray(v, dtype=float))
@@ -198,10 +193,6 @@ def dare_value_iteration(A, B, Q, R, tol=1e-12, max_iter=10_000, *,
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    if R.ndim == 0:
-        R = R[None, None]
     n, m = B.shape[-2:]
     batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2], Q.shape[:-2], R.shape[:-2])
     A, B, Q, R = (np.broadcast_to(M, batch + M.shape[-2:]).reshape((-1,) + M.shape[-2:])
@@ -416,20 +407,18 @@ def build_cstr_controller(
     return ctrl, sched
 
 
-def register_controller(plant: Plant, m: int, p: int, v_lo, v_hi) -> TrackingController:
+def register_controller(plant: Plant, v_lo, v_hi) -> TrackingController:
     """Pass-through feedback u = v for the shift register (K = 0, P = I)."""
-    ss = register_steady_state_map(m, p, v_lo, v_hi)
     n = plant.n
-    K0 = np.zeros((m, n))
+    ss = register_steady_state_map(n, v_lo, v_hi)
+    K0 = np.zeros((1, n))
     P0 = np.eye(n)
 
     def gain_of(v):
-        v = np.asarray(v, dtype=float)
-        return np.broadcast_to(K0, v.shape + (m, n))
+        return np.broadcast_to(K0, np.asarray(v, dtype=float).shape + (1, n))
 
     def lyap_of(v):
-        v = np.asarray(v, dtype=float)
-        return np.broadcast_to(P0, v.shape + (n, n))
+        return np.broadcast_to(P0, np.asarray(v, dtype=float).shape + (n, n))
 
     return TrackingController(plant, ss, gain_of, lyap_of)
 

@@ -76,11 +76,11 @@ def test_02_regret_table_shape(standard_runs):
 def test_03_plateau_tracking(cstr, standard_runs):
     ledger = standard_runs[("prev_opt", "variable")]
     arr = ledger.arrays()
-    worst = 0.0
-    for a, b in cstr.schedule.plateaus(min_length=200):
-        tail = slice(b - 200, b)
-        worst = max(worst, float(np.abs(arr["v"][tail] - arr["eta"][tail]).mean()))
-    report(3, worst <= 0.01, f"worst plateau-tail mean |v - eta| = {worst:.2e} (<= 0.01)")
+    a, b = cstr.schedule.ramp_end, cstr.schedule.plateau_end
+    assert b - a >= 200, f"plateau [{a}, {b}) is shorter than the 200-step tail"
+    tail = slice(b - 200, b)
+    lag = float(np.abs(arr["v"][tail] - arr["eta"][tail]).mean())
+    report(3, lag <= 0.01, f"plateau-tail mean |v - eta| = {lag:.2e} (<= 0.01)")
 
 
 def test_04_safe_set_soundness(cstr):
@@ -143,7 +143,7 @@ def test_06_governor_maximality(cstr):
 
 def test_07_adversarial_floor(cstr):
     T = 2400
-    out = adversarial_lower_bound(cstr.plant, cstr.ctrl, "scripted", T=T)
+    out = adversarial_lower_bound(cstr.plant, cstr.ctrl, T=T)
     floor_ok = out["regret"] >= out["regret_oco"] - 1e-9 * T
     strict_ok = out["regret"] > out["regret_oco"]  # the reference moves
     report(7, floor_ok and strict_ok,

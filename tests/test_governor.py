@@ -55,6 +55,18 @@ def literal_v_scan(safe_set, x, r, points):
     return float(vs[gap == gap.min()].min())
 
 
+def fifty_halvings(x, r, v_prev, safe_set):
+    """scalar_rg's search as a fixed loop of 50 halvings of [0, 1]."""
+    lo, hi = 0.0, 1.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if bool(safe_set.contains(x, v_prev + mid * (r - v_prev))):
+            lo = mid
+        else:
+            hi = mid
+    return v_prev + lo * (r - v_prev), lo
+
+
 class SliceStub(SafeSet):
     """Safe set whose reference slice is {v in [-1, 1] : admissible(v)} at every state."""
 
@@ -103,6 +115,18 @@ class TestScalarGovernor:
             worst = max(worst, abs(beta - beta_star))
         assert active > 50, "instance generator produced no binding cases"
         assert worst <= 2e-6
+
+    def test_bisection_equals_fifty_halvings(self, cstr):
+        safe_set = cstr.fixed
+        x, v_prev, r = make_instances(safe_set, 400, seed=84)
+        active = 0
+        for i in range(400):
+            if bool(safe_set.contains(x[i], float(r[i]))):
+                continue
+            active += 1
+            args = (x[i], float(r[i]), float(v_prev[i]), safe_set)
+            assert scalar_rg(*args) == fifty_halvings(*args)
+        assert active >= 300, f"only {active} active instances"
 
     def test_two_stage_oracle_equals_literal_scan(self, cstr):
         x, v_prev, r = make_instances(cstr.variable, 200, seed=78)
@@ -209,6 +233,9 @@ class TestCommandGovernor:
         assert gap.cross_section_v(x) == (-1.0, 1.0)
         with pytest.raises(SliceNotIntervalError, match="inside the admissible scan range"):
             command_governor(x, 3e-4, gap)
+        # the lattice oracle fine-scans r's block and sees feasibility change twice
+        with pytest.raises(SliceNotIntervalError, match="changes more than once"):
+            command_governor_grid_oracle(gap, x, 3e-4)
 
     def test_agrees_with_scalar_rg_on_intervals(self, cstr):
         """When the slice is an interval containing v_prev, the segment

@@ -154,8 +154,8 @@ class TestEnvelopeFit:
 
     def test_deadbeat_register_rate_zero(self):
         from oco_rg import register_controller, shift_register_plant
-        plant = shift_register_plant(1, 1)
-        ctrl = register_controller(plant, 1, 1, -0.9, 0.9)
+        plant = shift_register_plant(1)
+        ctrl = register_controller(plant, -0.9, 0.9)
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, size=(32, 1))
         v = rng.uniform(-0.9, 0.9, size=32)
@@ -271,7 +271,7 @@ class TestWindowDiagnostics:
 
 class TestAdversarial:
     def test_floor_and_strictness(self, cstr):
-        out = adversarial_lower_bound(cstr.plant, cstr.ctrl, "scripted", T=300)
+        out = adversarial_lower_bound(cstr.plant, cstr.ctrl, T=300)
         assert out["regret_oco"] == pytest.approx(0.0, abs=1e-12)
         assert out["regret"] >= -1e-9 * 300
         assert out["regret"] > 1e-6  # the scripted reference moves
@@ -279,16 +279,10 @@ class TestAdversarial:
     def test_stationary_start_gives_zero(self, cstr):
         v0 = 0.6519
         path = [v0] * 100
-        out = adversarial_lower_bound(cstr.plant, cstr.ctrl, "scripted", T=100,
+        out = adversarial_lower_bound(cstr.plant, cstr.ctrl, T=100,
                                       x0=cstr.ctrl.ss.h(v0), reference_path=path)
         assert out["regret"] == pytest.approx(0.0, abs=1e-15)
         assert out["regret_oco"] == pytest.approx(0.0, abs=1e-15)
-
-    def test_ogd_on_adversarial_costs_stays_put(self, cstr):
-        out = adversarial_lower_bound(cstr.plant, cstr.ctrl, "ogd", T=50,
-                                      reference_path=[0.6] * 50)
-        assert np.allclose(out["references"], 0.6, atol=1e-12)
-        assert out["gap"] >= -1e-12
 
 
 class TestMemoryReduction:
@@ -296,8 +290,8 @@ class TestMemoryReduction:
         """The induced steady-state cost equals the diagonal stage cost."""
         from oco_rg import register_controller, shift_register_plant
         sched = MemoryCostSchedule(horizon=10, p=1)
-        plant = shift_register_plant(1, 1)
-        ctrl = register_controller(plant, 1, 1, -0.9, 0.9)
+        plant = shift_register_plant(1)
+        ctrl = register_controller(plant, -0.9, 0.9)
         cost = SteadyStateCost(sched, ctrl)
         for t in range(5):
             for v in (-0.5, 0.0, 0.7):

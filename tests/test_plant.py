@@ -8,7 +8,6 @@ from oco_rg import (
     cstr_plant,
     shift_register_plant,
 )
-from oco_rg.plant import register_steady_stack
 
 
 def steady_pair(v, p: CstrParams):
@@ -78,49 +77,40 @@ class TestEulerStep:
 
 class TestShiftRegister:
     def test_one_slot_register(self):
-        plant = shift_register_plant(1, 1)
+        plant = shift_register_plant(1)
         assert plant.step(np.array([3.0]), 2.0) == pytest.approx([2.0])
 
     def test_shift_semantics(self):
-        plant = shift_register_plant(1, 2)
+        plant = shift_register_plant(2)
         out = plant.step(np.array([1.0, 2.0]), 3.0)
         assert out.tolist() == [2.0, 3.0]
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_deadbeat_to_stacked_reference(self, p):
-        plant = shift_register_plant(1, p)
-        H = register_steady_stack(1, p)
+        plant = shift_register_plant(p)
         x = np.arange(1.0, p + 1.0)
         v = 0.25
         for _ in range(p):
             x = plant.step(x, v)
-        assert np.array_equal(x, (H @ [v]).ravel())
+        assert np.array_equal(x, np.full(p, v))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            shift_register_plant(0, 1)
-        with pytest.raises(ValueError):
-            shift_register_plant(1, 0)
+            shift_register_plant(0)
 
     def test_batched_step(self):
-        plant = shift_register_plant(1, 2)
+        plant = shift_register_plant(2)
         xs = np.array([[1.0, 2.0], [5.0, 6.0]])
         us = np.array([3.0, 7.0])
         out = plant.step(xs, us)
         assert out.tolist() == [[2.0, 3.0], [6.0, 7.0]]
-
-    def test_multi_input_register(self):
-        plant = shift_register_plant(2, 2)
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        out = plant.step(x, np.array([5.0, 6.0]))
-        assert out.tolist() == [3.0, 4.0, 5.0, 6.0]
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_deadbeat_property_random(self, p):
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        plant = shift_register_plant(1, p)
+        plant = shift_register_plant(p)
 
         @given(st.lists(st.floats(-5, 5), min_size=p, max_size=p),
                st.floats(-5, 5))

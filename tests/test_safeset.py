@@ -274,8 +274,8 @@ class TestScalarKernel:
         variable, calls = spy_safe_set(cstr, "variable")
         assert variable.contains(cstr.ctrl.ss.h(0.6), 0.6)
         assert calls == []
-        plant = shift_register_plant(1, 1)
-        ctrl = register_controller(plant, 1, 1, -0.9, 0.9)
+        plant = shift_register_plant(1)
+        ctrl = register_controller(plant, -0.9, 0.9)
         assert ctrl.scalar_lyapunov is None
         register = fixed_level_set(box_polytope([(None, None)], [(-1.0, 1.0)]), ctrl,
                                    grid_points=21)

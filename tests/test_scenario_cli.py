@@ -118,8 +118,14 @@ class TestSimulate:
         ("[plant]\nkind = shift_register\nm = 0", "register_m"),
         ("[plant]\nkind = shift_register\nm = 2", "register_m"),
         ("[plant]\nkind = shift_register\np = 0", "register_p"),
+        ("[schedule]\nq_amplitude = -1", "q_amplitude"),
+        ("[schedule]\nq_amplitude = 200", "q_offset"),
+        ("[schedule]\nramp_end = -5", "ramp_end"),
+        ("[schedule]\nplateau_end = 10", "plateau_end"),
+        ("[schedule]\nmemory_weight = -1", "memory_weight"),
     ], ids=["q_period", "step_size", "tau", "x0", "empty_interval", "memory_target_period",
-            "lqr_q", "lqr_r", "register_m", "register_m_two", "register_p"])
+            "lqr_q", "lqr_r", "register_m", "register_m_two", "register_p", "q_amplitude",
+            "q_offset", "ramp_end", "plateau_end", "memory_weight"])
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, entries, key):
         cfg = write(tmp_path, f"{entries}\n[run]\nsteps = 50\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
