@@ -8,12 +8,13 @@ closed form row by row, and the largest uniform level contained in it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .plant import ConstraintPolytope
-from .tracking import TrackingController
+from .tracking import TrackingController, cstr_equilibrium
 
 SCAN_POINTS = 2001  # window scan that brackets the ends of a reference slice
 SLICE_TOL = 1e-10  # width to which each slice end is bisected
@@ -56,6 +57,43 @@ def compute_gamma(v, poly: ConstraintPolytope, ctrl: TrackingController):
     return np.min(levels, axis=-1)
 
 
+def scalar_gamma_kernel(poly: ConstraintPolytope, ctrl: TrackingController):
+    """Plain-float ``compute_gamma(v, poly, ctrl)`` for one float v in the
+    window (not checked), or None when ``ctrl`` has no ``scalar_schedule``.
+
+    The result equals ``compute_gamma``'s bit for bit because every step
+    follows its operation order: K(v) and P(v) from the schedule's blend,
+    c(v) and u_ss(v) from ``cstr_equilibrium`` with np.exp, LAPACK's inverse
+    of P(v), and the quadratic form summed left to right as einsum sums it.
+    A non-positive margin is handed to ``compute_gamma``, which raises.
+    """
+    sched = ctrl.scalar_schedule
+    if sched is None:
+        return None
+    blend, params, inv = sched.blend, sched.params, np.linalg.inv
+    rows = list(zip(poly.Ax[:, 0].tolist(), poly.Ax[:, 1].tolist(), poly.Au[:, 0].tolist(),
+                    poly.b.tolist()))
+
+    def gamma(v):
+        k0, k1, p00, p01, p11 = blend(v)
+        c, u_ss = cstr_equilibrium(v, params, order=1)
+        c, u_ss = float(c), float(u_ss)
+        (q00, q01), (q10, q11) = inv([[p00, p01], [p01, p11]]).tolist()
+        best = math.inf
+        for ax0, ax1, au, b in rows:
+            m = (b - (ax0 * c + ax1 * v)) - au * u_ss
+            if m <= 0.0:
+                return compute_gamma(v, poly, ctrl)
+            g0 = ax0 + au * k0
+            g1 = ax1 + au * k1
+            den = (((g0 * q00) * g0 + (g0 * q01) * g1) + (g1 * q10) * g0) + (g1 * q11) * g1
+            if den > 0.0 and m * m / den < best:
+                best = m * m / den
+        return best
+
+    return gamma
+
+
 def bisect(admissible, inside, outside, width):
     """Halve the interval from an admissible ``inside`` to an inadmissible
     ``outside`` while it is wider than ``width``; return its admissible end."""
@@ -83,7 +121,10 @@ class SafeSet:
     kind is "fixed" (the constant level ``certificate.V_max``) or "variable"
     (closed-form level per reference).  ``level_scale`` multiplies the
     calibrated level; it exists for fault-injection experiments and defaults
-    to 1.  Queries are pure and broadcast over leading axes.
+    to 1.  Queries are pure and broadcast over leading axes.  A float
+    reference skips numpy where the controller exposes plain-float kernels
+    (``scalar_lyapunov``, and ``scalar_schedule`` for the variable level);
+    they give the array path's bits, so the answer does not depend on it.
     """
 
     def __init__(self, kind, ctrl: TrackingController, poly: ConstraintPolytope,
@@ -96,15 +137,21 @@ class SafeSet:
         self.level_scale = float(level_scale)
         self.certificate = certificate
         self._fixed_level = self.level_scale * certificate.V_max
-        # one-state, one-reference queries on a fixed level skip numpy dispatch
-        self._scalar_V = ctrl.scalar_lyapunov if kind == "fixed" else None
+        self._scalar_V = ctrl.scalar_lyapunov
+        self._scalar_gamma = scalar_gamma_kernel(poly, ctrl) if kind == "variable" else None
 
     @property
     def window(self):
         return self.ctrl.ss.window
 
-    def _check_window(self, v):
-        """Raise ReferenceWindowError unless every v is in the window; NaN is not."""
+    def level(self, v):
+        """Level at v: a float for a float v, an array otherwise.
+
+        Raises ReferenceWindowError unless every v is in the window (NaN is
+        not), before any level is computed.  A float v on the variable level
+        goes through ``scalar_gamma_kernel`` when the controller has a
+        ``scalar_schedule``; other references on it through ``compute_gamma``.
+        """
         lo, hi = self.window
         if isinstance(v, float):
             inside = lo - 1e-9 <= v <= hi + 1e-9
@@ -113,25 +160,26 @@ class SafeSet:
             inside = np.all((v_arr >= lo - 1e-9) & (v_arr <= hi + 1e-9))
         if not inside:
             raise ReferenceWindowError(f"reference {v} outside window [{lo}, {hi}]")
-
-    def level(self, v):
-        self._check_window(v)
-        if self.kind == "fixed":
+        if isinstance(v, float):
+            if self.kind == "fixed":
+                return self._fixed_level
+            if self._scalar_gamma is not None:
+                return self.level_scale * self._scalar_gamma(float(v))
+        elif self.kind == "fixed":
             return self._fixed_level * np.ones_like(np.asarray(v, dtype=float))
         return self.level_scale * compute_gamma(v, self.poly, self.ctrl)
 
     def contains(self, x, v):
         """Membership V(x, v) <= level(v); boolean, broadcast over batches.
 
-        One 1-D state with one float reference on a fixed level goes through
-        the controller's ``scalar_lyapunov``, which gives the same bits as
-        the array path.
+        One 1-D state with one float reference goes through the controller's
+        ``scalar_lyapunov`` and the float ``level``, which give the same
+        bits as the array path; the window is checked before either runs.
         """
+        lev = self.level(v)
         if (self._scalar_V is not None and isinstance(v, float)
                 and isinstance(x, np.ndarray) and x.ndim == 1):
-            self._check_window(v)
-            return self._scalar_V(x, v) <= self._fixed_level
-        lev = self.level(v)
+            return self._scalar_V(x, v) <= lev
         return self.ctrl.lyapunov(x, v) <= lev
 
     def scan_v(self, x):

@@ -48,7 +48,8 @@ class SteadyStateMap:
 
     ``fast``, when present, provides plain-float equilibrium evaluations for
     hot scalar paths (per-step line searches); results agree with the array
-    path to round-off.
+    path to round-off.  It uses math.exp, so a kernel that must give the
+    array path's bits calls ``cstr_equilibrium`` with np.exp instead.
     """
 
     h: Callable
@@ -293,38 +294,51 @@ def build_gain_schedule(plant: Plant, ss: SteadyStateMap, Q, R, grid_points=181)
     return GainSchedule(vgrid=vgrid, Ks=Ks, Ps=Ps)
 
 
-def cstr_lyapunov_kernel(sched: GainSchedule, params: CstrParams):
-    """Plain-float V(x, v) of the reactor for one state and one reference.
+class CstrScalarSchedule:
+    """Plain-float schedule of the reactor for one float reference inside
+    the window (not checked), equal to the array path bit for bit.
 
-    ``x`` is a 1-D array of length 2 and ``v`` a float inside the window
-    (not checked).  The result equals ``TrackingController.lyapunov(x, v)``
-    bit for bit: c(v) comes from ``cstr_equilibrium`` with np.exp (math.exp
-    differs in the last bit), P(v) is blended and symmetrized entry by
-    entry as in ``GainSchedule.lyap_weight``, and the quadratic form is
-    summed in the order einsum sums it.
+    ``blend`` weighs K and P entry by entry as ``GainSchedule`` does, and
+    ``lyapunov`` is V(x, v) for one 1-D state: c(v) comes from
+    ``cstr_equilibrium`` with np.exp (math.exp differs in the last bit) and
+    the quadratic form is summed in the order einsum sums it.  The schedule
+    lists are built once per controller.
     """
-    Ps = [tuple(P.ravel().tolist()) for P in sched.Ps]
-    lo, hi = float(sched.vgrid[0]), float(sched.vgrid[-1])
-    cell = (hi - lo) / (len(sched.vgrid) - 1)
-    top = len(sched.vgrid) - 1 - 1e-12
 
-    def lyapunov(x, v):
-        pos = min(max((v - lo) / cell, 0.0), top)
+    __slots__ = ("params", "_rows", "_lo", "_cell", "_top")
+
+    def __init__(self, sched: GainSchedule, params: CstrParams):
+        self.params = params
+        self._rows = [tuple(K.ravel().tolist() + P.ravel().tolist())
+                      for K, P in zip(sched.Ks, sched.Ps)]
+        self._lo = float(sched.vgrid[0])
+        self._cell = (float(sched.vgrid[-1]) - self._lo) / (len(sched.vgrid) - 1)
+        self._top = len(sched.vgrid) - 1 - 1e-12
+
+    def blend(self, v):
+        """(k0, k1, p00, p01, p11): the entries of K(v) and of symmetric P(v)."""
+        pos = (v - self._lo) / self._cell
+        if pos < 0.0:  # np.clip's bounds, without two builtin calls
+            pos = 0.0
+        elif pos > self._top:
+            pos = self._top
         i = int(pos)
         w = pos - i
         u = 1.0 - w
-        a00, a01, a10, a11 = Ps[i]
-        b00, b01, b10, b11 = Ps[i + 1]
+        ak0, ak1, a00, a01, a10, a11 = self._rows[i]
+        bk0, bk1, b00, b01, b10, b11 = self._rows[i + 1]
         # 0.5 (p + p) is p exactly, and 0.5 (p01 + p10) is symmetric
-        q00 = u * a00 + w * b00
-        q01 = 0.5 * ((u * a01 + w * b01) + (u * a10 + w * b10))
-        q11 = u * a11 + w * b11
+        return (u * ak0 + w * bk0, u * ak1 + w * bk1, u * a00 + w * b00,
+                0.5 * ((u * a01 + w * b01) + (u * a10 + w * b10)), u * a11 + w * b11)
+
+    def lyapunov(self, x, v):
+        """V(x, v) for a 1-D state of length 2; equals ``TrackingController.lyapunov``."""
+        v = float(v)  # an np.float64 v would make every operation below a numpy scalar one
+        _, _, q00, q01, q11 = self.blend(v)
         x0, x1 = x.tolist()
-        e0 = x0 - float(cstr_equilibrium(v, params, order=0))
+        e0 = x0 - float(cstr_equilibrium(v, self.params, order=0))
         e1 = x1 - v
         return ((e0 * q00) * e0 + (e0 * q01) * e1) + ((e1 * q01) * e0 + (e1 * q11) * e1)
-
-    return lyapunov
 
 
 class TrackingController:
@@ -335,16 +349,19 @@ class TrackingController:
     construction; every method broadcasts over leading batch axes and
     returns scalar u for single-input plants.  ``scalar_lyapunov``, when
     present, is a plain-float V(x, v) for one 1-D state and one float
-    reference that equals ``lyapunov`` bit for bit.
+    reference that equals ``lyapunov`` bit for bit; ``scalar_schedule``,
+    when present, is the ``CstrScalarSchedule`` behind ``gain`` and
+    ``lyap_weight``.
     """
 
     def __init__(self, plant: Plant, ss: SteadyStateMap, gain_of, lyap_of,
-                 scalar_lyapunov=None):
+                 scalar_lyapunov=None, scalar_schedule=None):
         self.plant = plant
         self.ss = ss
         self._gain_of = gain_of
         self._lyap_of = lyap_of
         self.scalar_lyapunov = scalar_lyapunov
+        self.scalar_schedule = scalar_schedule
 
     def gain(self, v):
         return self._gain_of(v)
@@ -402,8 +419,9 @@ def build_cstr_controller(
     Q = lqr_q * np.eye(plant.n)
     R = np.array([[lqr_r]])
     sched = build_gain_schedule(plant, ss, Q, R, grid_points)
+    scalar = CstrScalarSchedule(sched, params)
     ctrl = TrackingController(plant, ss, sched.gain, sched.lyap_weight,
-                              scalar_lyapunov=cstr_lyapunov_kernel(sched, params))
+                              scalar_lyapunov=scalar.lyapunov, scalar_schedule=scalar)
     return ctrl, sched
 
 

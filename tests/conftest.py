@@ -17,6 +17,7 @@ from oco_rg import (
     estimate_certificate,
     fixed_level_set,
     run_closed_loop,
+    safeset,
     variable_level_set,
 )
 
@@ -79,3 +80,18 @@ def certificate_fixed(cstr, standard_runs):
     plan = SamplingPlan(seed=SEED, extra_states=(arr["x"][::8], arr["v"][::8]))
     return estimate_certificate(cstr.plant, cstr.ctrl, cstr.fixed,
                                 cstr.schedule, plan)
+
+
+@pytest.fixture
+def gamma_calls(monkeypatch):
+    """References passed to the array ``compute_gamma``, counted at the
+    module-level name that the safe set and the bench tracer look up."""
+    calls = []
+    array_gamma = safeset.compute_gamma
+
+    def counted(v, poly, ctrl):
+        calls.append(v)
+        return array_gamma(v, poly, ctrl)
+
+    monkeypatch.setattr(safeset, "compute_gamma", counted)
+    return calls

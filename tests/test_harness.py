@@ -96,6 +96,16 @@ class TestClosedLoop:
         assert ledger.violations == 0 and ledger.invariance_breaks == 0
         assert np.all(np.isnan(ledger.beta))
 
+    @pytest.mark.parametrize("oco_kind", ["prev_opt", "ogd"])
+    def test_variable_level_run_makes_no_array_gamma_calls(self, cstr, gamma_calls, oco_kind):
+        """The plain-float level gives the array path's bits, so outputs cannot
+        show a change that routes the per-step queries back to the array path;
+        this count can."""
+        ledger = run_closed_loop(cstr.plant, cstr.ctrl, cstr.variable, "scalar", oco_kind,
+                                 cstr.schedule, T=200, r0=cstr.cfg.r0)
+        assert ledger.steps == 200
+        assert gamma_calls == []
+
     def test_inductive_safety_along_runs(self, cstr, standard_runs):
         for (oco, kind), ledger in standard_runs.items():
             safe_set = getattr(cstr, kind)

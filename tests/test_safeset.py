@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,20 @@ from oco_rg import (
     SteadyStateMap,
     TrackingController,
     box_polytope,
+    build_scenario,
     calibrate_level,
     compute_gamma,
     fixed_level_set,
+    load_config,
     register_controller,
     sample_safe_states,
     shift_register_plant,
+    variable_level_set,
 )
+from oco_rg.safeset import scalar_gamma_kernel
+from test_bench_hooks import load
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def identity_tracking(n=2, margin_rows=None):
@@ -228,7 +237,7 @@ def spy_safe_set(cstr, kind):
         return ctrl.scalar_lyapunov(x, v)
 
     spied = TrackingController(ctrl.plant, ctrl.ss, ctrl.gain, ctrl.lyap_weight,
-                               scalar_lyapunov=spy)
+                               scalar_lyapunov=spy, scalar_schedule=ctrl.scalar_schedule)
     return SafeSet(kind, spied, cstr.poly, cstr.fixed.certificate), calls
 
 
@@ -270,24 +279,39 @@ class TestScalarKernel:
         safe_set.contains(x, np.full(3, 0.6))
         assert calls == []
 
-    def test_variable_and_register_sets_never_take_kernel(self, cstr):
-        variable, calls = spy_safe_set(cstr, "variable")
-        assert variable.contains(cstr.ctrl.ss.h(0.6), 0.6)
-        assert calls == []
+    def test_variable_set_takes_kernel(self, cstr, gamma_calls):
+        safe_set, calls = spy_safe_set(cstr, "variable")
+        x = cstr.ctrl.ss.h(0.6)
+        assert safe_set.contains(x, 0.6) and safe_set.contains(x, np.float64(0.6))
+        assert len(calls) == 2
+        assert isinstance(calls[1], np.float64)
+        assert gamma_calls == []
+
+    def test_register_variable_set_keeps_array_path(self, gamma_calls):
         plant = shift_register_plant(1)
         ctrl = register_controller(plant, -0.9, 0.9)
-        assert ctrl.scalar_lyapunov is None
-        register = fixed_level_set(box_polytope([(None, None)], [(-1.0, 1.0)]), ctrl,
-                                   grid_points=21)
+        assert ctrl.scalar_lyapunov is None and ctrl.scalar_schedule is None
+        register = variable_level_set(box_polytope([(None, None)], [(-1.0, 1.0)]), ctrl,
+                                      grid_points=21)
+        gamma_calls.clear()
         assert register.contains(np.array([0.3]), 0.2)
+        assert len(gamma_calls) == 1
+
+    def test_float_level_is_a_float_on_both_kinds(self, cstr):
+        for safe_set in (cstr.fixed, cstr.variable):
+            for v in (0.6, np.float64(0.6)):
+                assert type(safe_set.level(v)) is float
+            assert safe_set.level(0.6) == safe_set.level(np.asarray(0.6))
+        assert cstr.fixed.level(0.6) == cstr.fixed.certificate.V_max
 
     def test_out_of_window_raises(self, cstr):
-        safe_set, calls = spy_safe_set(cstr, "fixed")
-        x = cstr.ctrl.ss.h(0.6)
-        for v in (0.95, 0.4 - 2e-9, np.float64(0.85 + 2e-9)):
-            with pytest.raises(ReferenceWindowError):
-                safe_set.contains(x, v)
-        assert calls == []
+        for kind in ("fixed", "variable"):
+            safe_set, calls = spy_safe_set(cstr, kind)
+            x = cstr.ctrl.ss.h(0.6)
+            for v in (0.95, 0.4 - 2e-9, np.float64(0.85 + 2e-9)):
+                with pytest.raises(ReferenceWindowError):
+                    safe_set.contains(x, v)
+            assert calls == []
 
     @pytest.mark.parametrize("kind", ["fixed", "variable"])
     def test_nan_reference_raises(self, cstr, kind):
@@ -297,3 +321,53 @@ class TestScalarKernel:
             with pytest.raises(ReferenceWindowError):
                 safe_set.contains(x, v)
         assert calls == []
+
+
+class TestScalarGammaKernel:
+    """The plain-float level must give ``compute_gamma``'s bits: a numpy or
+    BLAS upgrade that moves one of them fails here, where the outputs would
+    not show it."""
+
+    @pytest.mark.parametrize("source", ["fixture", "configs/cstr.ini", "cstr-oracle"])
+    def test_kernel_equals_compute_gamma(self, cstr, source, tmp_path):
+        if source == "fixture":
+            whole = cstr.variable
+        else:
+            path = REPO / source
+            if source == "cstr-oracle":
+                path = tmp_path / "oracle.ini"
+                path.write_text(load("workloads").generate("cstr-oracle", 1))
+            whole = build_scenario(load_config(path), "variable").safe_set
+        half = SafeSet("variable", whole.ctrl, whole.poly, whole.certificate, level_scale=0.5)
+        _, v = kernel_points(cstr)
+        mismatches = []
+        for ref in v.tolist():
+            gamma = compute_gamma(ref, whole.poly, whole.ctrl)
+            if not (whole.level(ref) == gamma and half.level(ref) == 0.5 * gamma):
+                mismatches.append(ref)
+        assert v.size > 10_000
+        assert mismatches == []
+
+    def test_non_positive_margin_raises_compute_gammas_error(self, cstr):
+        poly = box_polytope([(0.0, 1.0), (0.0, 0.7)], [(0.0, 2.0)])
+        kernel = scalar_gamma_kernel(poly, cstr.ctrl)
+        with pytest.raises(ReferenceInfeasibleError) as expected:
+            compute_gamma(0.8, poly, cstr.ctrl)
+        with pytest.raises(ReferenceInfeasibleError) as raised:
+            kernel(0.8)
+        assert str(raised.value) == str(expected.value)
+        assert "x1<=hi" in str(raised.value)
+
+    def test_variable_membership_equals_array_path(self, cstr, gamma_calls):
+        """States on rays from h(v) rescaled to the variable level's boundary,
+        a quarter of them within 1e-9 of it: no membership flips."""
+        x, v = kernel_points(cstr)
+        h = cstr.ctrl.ss.h(v)
+        scale = np.sqrt(compute_gamma(v, cstr.poly, cstr.ctrl) / cstr.fixed.certificate.V_max)
+        x = h + (x - h) * scale[:, None]
+        gamma_calls.clear()
+        fast = [bool(cstr.variable.contains(x[k], float(v[k]))) for k in range(v.size)]
+        assert gamma_calls == []
+        slow = [bool(cstr.variable.contains(x[k], np.asarray(v[k]))) for k in range(v.size)]
+        assert fast == slow
+        assert 0.2 * v.size < sum(fast) < 0.8 * v.size
