@@ -30,7 +30,7 @@ def initialize_governor(x0, r0, safe_set: SafeSet) -> float:
     """The first reference v_0 = r_0, requiring (x0, r0) to be safe."""
     V0 = float(safe_set.ctrl.lyapunov(x0, r0))
     lev = float(safe_set.level(r0))
-    if V0 > lev:
+    if not V0 <= lev:  # a NaN state or level fails here, not at a later step
         raise InitializationInfeasibleError(
             f"initial reference infeasible: V(x0, r0) = {V0:.6g} exceeds level {lev:.6g}"
         )

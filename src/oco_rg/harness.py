@@ -17,6 +17,7 @@ best-effort and every check that depends on them is reported as diagnostic.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -881,6 +882,14 @@ def run_memory_reduction(schedule: MemoryCostSchedule, oco_kind: str, T: int,
 # oracles shared by verification and tests
 
 
+@functools.lru_cache(maxsize=None)
+def coarse_lattice(points):
+    """Read-only indices of ``lattice_scan``'s 1001 coarse points on 0..points-1."""
+    coarse = np.unique(np.linspace(0, points - 1, 1001).astype(np.int64))
+    coarse.flags.writeable = False
+    return coarse
+
+
 def lattice_scan(safe_set: SafeSet, x, a, b, points, near=None):
     """Admissible fractions k/(points-1) of the lattice a + k/(points-1) (b - a).
 
@@ -889,17 +898,23 @@ def lattice_scan(safe_set: SafeSet, x, a, b, points, near=None):
     a < b).  This reproduces the full-lattice answer near every transition
     whenever feasibility changes at most once inside a coarse block; a
     scanned block where it changes more than once raises
-    SliceNotIntervalError.  Returns the fractions in increasing order, none
-    when no coarse point is admissible.
+    SliceNotIntervalError.  When (a, b) is the safe set's window the coarse
+    stage reads that lattice's table (``SafeSet.table_contains``), which is
+    built once per safe set and point count.  Returns the fractions in
+    increasing order, none when no coarse point is admissible.
     """
     x = np.asarray(x, dtype=float)
 
     def feasible(vs):
         return np.asarray(safe_set.contains(np.broadcast_to(x, vs.shape + x.shape), vs))
 
-    coarse = np.unique(np.linspace(0, points - 1, 1001).astype(np.int64))
-    vs = a + coarse / (points - 1) * (b - a)
-    feas = feasible(vs)
+    coarse = coarse_lattice(points)
+    if (a, b) == safe_set.window:
+        vs, feas = safe_set.table_contains(x, ("lattice", points),
+                                           lambda: a + coarse / (points - 1) * (b - a))
+    else:
+        vs = a + coarse / (points - 1) * (b - a)
+        feas = feasible(vs)
     if not feas.any():
         return np.empty(0)
     blocks = set(np.flatnonzero(np.diff(feas.astype(int)) != 0).tolist())

@@ -94,6 +94,47 @@ def scalar_gamma_kernel(poly: ConstraintPolytope, ctrl: TrackingController):
     return gamma
 
 
+@dataclass(frozen=True)
+class WindowTable:
+    """Read-only state-independent columns of a safe set on a reference grid:
+    the grid, h(grid) as n columns, the n x n entries of P(grid) as n*n
+    columns in row-major order, and level(grid)."""
+
+    grid: np.ndarray
+    h: np.ndarray  # (n, G)
+    P: np.ndarray  # (n*n, G)
+    level: np.ndarray
+
+    def lyapunov(self, x):
+        """V(x, v) at every grid reference v for one 1-D state x.
+
+        e_i = x_i - h_i(v), then the terms (e_i P_ij(v)) e_j added one by one
+        onto zero for i, j in row-major order: the order in which einsum sums
+        ``TrackingController.lyapunov`` over a grid, so the bits are the same.
+        """
+        e = [xi - hi for xi, hi in zip(np.asarray(x, dtype=float).tolist(), self.h)]
+        V = np.zeros_like(self.grid)
+        term = np.empty_like(V)
+        P = iter(self.P)
+        for ei in e:
+            for ej in e:
+                np.multiply(ei, next(P), out=term)
+                term *= ej
+                V += term
+        return V
+
+
+def build_window_table(ctrl: TrackingController, level, grid) -> WindowTable:
+    """``WindowTable`` of a controller and a level function on a 1-D grid."""
+    grid = np.asarray(grid, dtype=float)
+    columns = (np.ascontiguousarray(ctrl.ss.h(grid).T),
+               np.ascontiguousarray(ctrl.lyap_weight(grid).reshape(grid.size, -1).T),
+               np.asarray(level(grid), dtype=float))
+    for array in (grid,) + columns:
+        array.flags.writeable = False
+    return WindowTable(grid, *columns)
+
+
 def bisect(admissible, inside, outside, width):
     """Halve the interval from an admissible ``inside`` to an inadmissible
     ``outside`` while it is wider than ``width``; return its admissible end."""
@@ -125,6 +166,8 @@ class SafeSet:
     reference skips numpy where the controller exposes plain-float kernels
     (``scalar_lyapunov``, and ``scalar_schedule`` for the variable level);
     they give the array path's bits, so the answer does not depend on it.
+    Scans of one state over a fixed reference grid read that grid's
+    ``WindowTable`` (``table_contains``), with the same bits again.
     """
 
     def __init__(self, kind, ctrl: TrackingController, poly: ConstraintPolytope,
@@ -139,6 +182,7 @@ class SafeSet:
         self._fixed_level = self.level_scale * certificate.V_max
         self._scalar_V = ctrl.scalar_lyapunov
         self._scalar_gamma = scalar_gamma_kernel(poly, ctrl) if kind == "variable" else None
+        self._tables = {}
 
     @property
     def window(self):
@@ -182,17 +226,35 @@ class SafeSet:
             return self._scalar_V(x, v) <= lev
         return self.ctrl.lyapunov(x, v) <= lev
 
+    def table_contains(self, x, key, make_grid):
+        """(grid, mask): membership of one 1-D state x at every reference of a
+        state-independent grid, equal to ``contains`` on the broadcast state.
+
+        The grid's ``WindowTable`` is built from ``make_grid()`` on the first
+        use of ``key`` and kept, so a call scores only x - h(grid).  Scans on
+        a fixed grid (``scan_v``, the window lattice of
+        ``harness.lattice_scan``) go through here and not through
+        ``contains``.  Rebuilding gives the same table, so concurrent first
+        uses are harmless.
+        """
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build_window_table(self.ctrl, self.level, make_grid())
+        return table.grid, table.lyapunov(x) <= table.level
+
     def scan_v(self, x):
         """Brackets ((a, a_out), (b, b_out)) of both ends of the slice at x.
 
         a and b are the first and last admissible points of a SCAN_POINTS
         window scan, a_out and b_out their neighbours (None at the window
-        edge); None when no scan point is admissible.  Raises
+        edge); None when no scan point is admissible.  The scan reads the
+        window grid's table (``table_contains``).  Raises
         SliceNotIntervalError when the admissible points are not contiguous.
         """
-        grid = np.linspace(*self.window, SCAN_POINTS)
         x = np.asarray(x, dtype=float)
-        idx = np.flatnonzero(self.contains(np.broadcast_to(x, grid.shape + x.shape), grid))
+        grid, mask = self.table_contains(
+            x, SCAN_POINTS, lambda: np.linspace(*self.window, SCAN_POINTS))
+        idx = np.flatnonzero(mask)
         if idx.size == 0:
             return None
         i, j = idx[0], idx[-1]

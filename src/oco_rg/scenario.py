@@ -8,7 +8,8 @@ parser reports the file, section, and key for every malformed entry.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,10 @@ def load_config(path) -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig):
+    for item in fields(cfg):  # every comparison below is False on NaN
+        value = getattr(cfg, item.name)
+        if isinstance(value, float) and math.isnan(value):
+            raise ConfigError(f"{item.name} must be a number, got nan")
     for attr, choices in _CHOICES.items():
         if getattr(cfg, attr) not in choices:
             raise ConfigError(f"{attr} must be one of {choices}, got {getattr(cfg, attr)!r}")
@@ -187,8 +192,8 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigError("reference window is empty")
     if not (cfg.v_min <= cfg.r0 <= cfg.v_max):
         raise ConfigError(f"r0 = {cfg.r0} outside reference window [{cfg.v_min}, {cfg.v_max}]")
-    if cfg.level_scale <= 0:
-        raise ConfigError("level_scale must be positive")
+    if not 0 < cfg.level_scale < math.inf:
+        raise ConfigError(f"level_scale must be positive and finite, got {cfg.level_scale!r}")
     if cfg.grid_points < 2:
         raise ConfigError("grid_points must be >= 2")
     for attr in ("tau", "step_size", "q_period", "memory_target_period", "lqr_q", "lqr_r"):
@@ -218,6 +223,8 @@ def validate_config(cfg: ScenarioConfig):
             what = f"p = {n} entries for the register"
         if len(cfg.x0) != n:
             raise ConfigError(f"x0 must have {what}, got {len(cfg.x0)}")
+        if not all(math.isfinite(entry) for entry in cfg.x0):
+            raise ConfigError(f"x0 entries must be finite, got {cfg.x0!r}")
 
 
 @dataclass

@@ -78,6 +78,10 @@ class SliceStub(SafeSet):
     def contains(self, x, v):
         return self.admissible(np.asarray(v, dtype=float))
 
+    def table_contains(self, x, key, make_grid):
+        grid = make_grid()
+        return grid, self.contains(x, grid)
+
 
 class TestScalarGovernor:
     def test_pass_through_when_admissible(self, cstr):
@@ -280,3 +284,9 @@ class TestInitialization:
     def test_infeasible_start_rejected(self, cstr):
         with pytest.raises(InitializationInfeasibleError, match="exceeds level"):
             initialize_governor(np.array([0.9, 0.45]), 0.6, cstr.fixed)
+
+    @pytest.mark.parametrize("kind", ["fixed", "variable"])
+    def test_nan_start_rejected(self, cstr, kind):
+        # V(x0, r0) is NaN, which no level bounds: the run must not start
+        with pytest.raises(InitializationInfeasibleError):
+            initialize_governor(np.array([np.nan, 0.6519]), 0.6519, getattr(cstr, kind))

@@ -6,6 +6,7 @@ import pytest
 from oco_rg import (
     CstrCostSchedule,
     MemoryCostSchedule,
+    SafeSet,
     SamplingPlan,
     SteadyStateCost,
     adversarial_lower_bound,
@@ -21,7 +22,7 @@ from oco_rg import (
     verify_q_linear_regret,
     verify_regret_bound,
 )
-from oco_rg import box_polytope
+from oco_rg import box_polytope, checks, safeset
 from oco_rg.harness import KahanSum, RegretLedger
 
 from test_tracking import make_scalar_tracking
@@ -105,6 +106,41 @@ class TestClosedLoop:
                                  cstr.schedule, T=200, r0=cstr.cfg.r0)
         assert ledger.steps == 200
         assert gamma_calls == []
+
+    @pytest.mark.parametrize("kind", ["fixed", "variable"])
+    def test_command_governor_reads_one_table_per_grid(self, cstr, monkeypatch, kind):
+        """The window tables give the array path's bits, so outputs cannot show
+        a change that routes the governor's scan or the command oracle's coarse
+        lattice back through array ``contains`` or rebuilds a table; these
+        counts can."""
+        builds = []
+        build = safeset.build_window_table
+
+        def counted(ctrl, level, grid):
+            builds.append(len(grid))
+            return build(ctrl, level, grid)
+
+        monkeypatch.setattr(safeset, "build_window_table", counted)
+        fresh = SafeSet(kind, cstr.ctrl, cstr.poly, getattr(cstr, kind).certificate)
+        array_queries = []
+        contains = fresh.contains
+
+        def spy(x, v):
+            if not isinstance(v, float):
+                array_queries.append(np.shape(v))
+            return contains(x, v)
+
+        monkeypatch.setattr(fresh, "contains", spy)
+        # the ramp squeezed into 50 steps makes the governor act on most steps
+        sched = CstrCostSchedule(horizon=200, ramp_end=50, plateau_end=150)
+        ledger = run_closed_loop(cstr.plant, cstr.ctrl, fresh, "command", "ogd",
+                                 sched, T=200, r0=cstr.cfg.r0)
+        arrays = ledger.arrays()
+        assert ledger.invariance_breaks == 0 and np.sum(arrays["v"] != arrays["r"]) > 150
+        assert builds == [safeset.SCAN_POINTS]
+        assert array_queries == []
+        assert checks.check_governor_maximality(fresh, n_instances=20, governor="command")["passed"]
+        assert builds == [safeset.SCAN_POINTS, 1001]
 
     def test_inductive_safety_along_runs(self, cstr, standard_runs):
         for (oco, kind), ledger in standard_runs.items():

@@ -22,7 +22,7 @@ from oco_rg import (
     shift_register_plant,
     variable_level_set,
 )
-from oco_rg.safeset import scalar_gamma_kernel
+from oco_rg.safeset import SCAN_POINTS, build_window_table, scalar_gamma_kernel
 from test_bench_hooks import load
 
 REPO = Path(__file__).resolve().parents[1]
@@ -371,3 +371,65 @@ class TestScalarGammaKernel:
         slow = [bool(cstr.variable.contains(x[k], np.asarray(v[k]))) for k in range(v.size)]
         assert fast == slow
         assert 0.2 * v.size < sum(fast) < 0.8 * v.size
+
+
+def literal_scan_v(safe_set, x):
+    """``SafeSet.scan_v`` as one array ``contains`` call on the broadcast state."""
+    grid = np.linspace(*safe_set.window, SCAN_POINTS)
+    x = np.asarray(x, dtype=float)
+    idx = np.flatnonzero(safe_set.contains(np.broadcast_to(x, grid.shape + x.shape), grid))
+    if idx.size == 0:
+        return None
+    i, j = idx[0], idx[-1]
+    assert j - i + 1 == idx.size
+    a_out = grid[i - 1] if i > 0 else None
+    b_out = grid[j + 1] if j + 1 < SCAN_POINTS else None
+    return (grid[i], a_out), (grid[j], b_out)
+
+
+def register_tracking(p, weight):
+    """Register controller, with its identity weight or a random SPD one."""
+    ctrl = register_controller(shift_register_plant(p), -0.9, 0.9)
+    if weight == "identity":
+        return ctrl
+    root = np.random.default_rng(p).normal(size=(p, p))
+    P = root @ root.T + 0.1 * np.eye(p)
+    return TrackingController(ctrl.plant, ctrl.ss, ctrl.gain,
+                              lambda v: np.broadcast_to(P, np.shape(v) + (p, p)))
+
+
+class TestWindowTables:
+    """The table scan must give ``TrackingController.lyapunov``'s bits over a
+    grid: a numpy upgrade that changes how einsum sums fails here, where the
+    outputs would not show it."""
+
+    @pytest.mark.parametrize("kind", ["fixed", "variable"])
+    def test_table_lyapunov_equals_array_path(self, cstr, kind):
+        safe_set = getattr(cstr, kind)
+        grid = np.linspace(*safe_set.window, SCAN_POINTS)
+        table = build_window_table(safe_set.ctrl, safe_set.level, grid)
+        x, _ = kernel_points(cstr, n_random=1800)
+        mismatches = [k for k in range(len(x)) if not np.array_equal(
+            table.lyapunov(x[k]), cstr.ctrl.lyapunov(np.broadcast_to(x[k], (SCAN_POINTS, 2)), grid))]
+        assert len(x) > 1900
+        assert mismatches == []
+        assert np.array_equal(table.level, safe_set.level(grid))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("weight", ["identity", "random-spd"])
+    def test_register_table_lyapunov_equals_array_path(self, p, weight):
+        ctrl = register_tracking(p, weight)
+        grid = np.linspace(*ctrl.ss.window, SCAN_POINTS)
+        table = build_window_table(ctrl, lambda v: np.full(np.shape(v), np.inf), grid)
+        x = np.random.default_rng(10 + p).uniform(-1.5, 1.5, (200, p))
+        mismatches = [k for k in range(len(x)) if not np.array_equal(
+            table.lyapunov(x[k]), ctrl.lyapunov(np.broadcast_to(x[k], (SCAN_POINTS, p)), grid))]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("kind", ["fixed", "variable"])
+    def test_scan_equals_literal_contains_scan(self, cstr, kind):
+        safe_set = getattr(cstr, kind)
+        x, _ = kernel_points(cstr, n_random=1800)
+        brackets = [safe_set.scan_v(row) for row in x]
+        assert brackets == [literal_scan_v(safe_set, row) for row in x]
+        assert 0 < sum(b is None for b in brackets) < 0.5 * len(x)

@@ -123,9 +123,19 @@ class TestSimulate:
         ("[schedule]\nramp_end = -5", "ramp_end"),
         ("[schedule]\nplateau_end = 10", "plateau_end"),
         ("[schedule]\nmemory_weight = -1", "memory_weight"),
+        ("[safeset]\nlevel_scale = nan", "level_scale"),
+        ("[safeset]\nlevel_scale = inf", "level_scale"),
+        ("[plant]\nx0 = nan 0.6519", "x0"),
+        ("[plant]\nx0 = 0.2632 inf", "x0"),
+        ("[plant]\nkind = shift_register\nx0 = nan", "x0"),
+        ("[plant]\ntheta_f = nan", "theta_f"),
+        ("[constraints]\nc_max = nan", "c_max"),
+        ("[schedule]\ncbar_high = nan", "cbar_high"),
     ], ids=["q_period", "step_size", "tau", "x0", "empty_interval", "memory_target_period",
             "lqr_q", "lqr_r", "register_m", "register_m_two", "register_p", "q_amplitude",
-            "q_offset", "ramp_end", "plateau_end", "memory_weight"])
+            "q_offset", "ramp_end", "plateau_end", "memory_weight", "level_scale_nan",
+            "level_scale_inf", "x0_nan", "x0_inf", "register_x0_nan", "theta_f_nan",
+            "c_max_nan", "cbar_high_nan"])
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, entries, key):
         cfg = write(tmp_path, f"{entries}\n[run]\nsteps = 50\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
