@@ -10,10 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from .governor import command_governor, scalar_rg
-from .harness import command_governor_grid_oracle, sample_safe_states, scalar_rg_grid_oracle
-from .safeset import SafeSet
+from .harness import (
+    ORACLE_POINTS,
+    command_governor_grid_oracle,
+    sample_safe_states,
+    scalar_rg_grid_oracle,
+)
+from .safeset import SafeSet, SliceNotIntervalError
 
-COMMAND_ORACLE_POINTS = 1_000_000  # lattice of the window for the command-governor oracle
+BETA_GAP_TOL = 2e-6  # scalar governor's beta against its lattice oracle
 
 
 def check_steady_state_residuals(plant, ctrl, points=200, tol=1e-9):
@@ -147,43 +152,49 @@ def check_delta_ball(safe_set: SafeSet, grid_points=181, ring_points=24):
 
 
 def check_governor_maximality(safe_set: SafeSet, n_instances=1000, seed=12345,
-                              tol=2e-6, bump=1e-8, governor="scalar"):
+                              bump=1e-8, governor="scalar"):
     """The selected governor against its dense-lattice oracle, pass-through,
     and maximality.
 
     ``governor`` "scalar": the step fraction beta against
-    ``scalar_rg_grid_oracle`` within ``tol``, and beta + ``bump`` toward r
-    inadmissible.  "command": v against ``command_governor_grid_oracle``
-    within two lattice spacings of the window, and v moved ``bump`` toward
-    r inadmissible.  Both: an admissible r is returned unchanged.
+    ``scalar_rg_grid_oracle`` within ``BETA_GAP_TOL``, and beta + ``bump``
+    toward r inadmissible.  "command": v against
+    ``command_governor_grid_oracle`` within two spacings of its window
+    lattice, and v moved ``bump`` toward r inadmissible.  Both: an
+    admissible r is returned unchanged.  An instance where the governor or
+    the oracle raises SliceNotIntervalError counts as a maximality failure.
     """
     rng = np.random.default_rng(seed)
     x, v_prev = sample_safe_states(safe_set, n_instances, rng)
     lo, hi = safe_set.window
     r = rng.uniform(lo, hi, n_instances)
-    if governor == "command":
-        tol = 2.0 * (hi - lo) / (COMMAND_ORACLE_POINTS - 1)
+    tol = 2.0 * (hi - lo) / (ORACLE_POINTS - 1) if governor == "command" else BETA_GAP_TOL
     worst_gap = 0.0
     pass_through_bad = 0
     maximality_bad = 0
     counterexample = None
     for i in range(n_instances):
         ri, vi = float(r[i]), float(v_prev[i])
-        if governor == "command":
-            v = got = command_governor(x[i], ri, safe_set)
-        else:
-            v, got = scalar_rg(x[i], ri, vi, safe_set)
-        if bool(safe_set.contains(x[i], ri)):
-            if v != ri:
-                pass_through_bad += 1
+        try:
+            if governor == "command":
+                v = got = command_governor(x[i], ri, safe_set)
+            else:
+                v, got = scalar_rg(x[i], ri, vi, safe_set)
+            if bool(safe_set.contains(x[i], ri)):
+                if v != ri:
+                    pass_through_bad += 1
+                continue
+            if governor == "command":
+                best = command_governor_grid_oracle(safe_set, x[i], ri)
+                probe = v + min(bump, abs(ri - v)) * np.sign(ri - v)
+            else:
+                best = scalar_rg_grid_oracle(safe_set, x[i], ri, vi)
+                probe = vi + min(got + bump, 1.0) * (ri - vi) if got < 1.0 else None
+        except SliceNotIntervalError as exc:
+            maximality_bad += 1
+            if counterexample is None:
+                counterexample = {"x": x[i].tolist(), "r": ri, "error": str(exc)}
             continue
-        if governor == "command":
-            best = command_governor_grid_oracle(safe_set, x[i], ri,
-                                                points=COMMAND_ORACLE_POINTS)
-            probe = v + min(bump, abs(ri - v)) * np.sign(ri - v)
-        else:
-            best = scalar_rg_grid_oracle(safe_set, x[i], ri, vi)
-            probe = vi + min(got + bump, 1.0) * (ri - vi) if got < 1.0 else None
         # best is None when no lattice point is admissible
         gap = abs(got - best) if best is not None else np.inf
         if gap > worst_gap:

@@ -47,6 +47,8 @@ from .tracking import (
     register_controller,
 )
 
+ORACLE_POINTS = 1_000_000  # uniform lattice of both governors' grid oracles
+
 
 # ---------------------------------------------------------------------------
 # compensated summation
@@ -933,14 +935,14 @@ def lattice_scan(safe_set: SafeSet, x, a, b, points, near=None):
     return np.unique(np.concatenate(found)) / (points - 1)
 
 
-def scalar_rg_grid_oracle(safe_set: SafeSet, x, r, v_prev, points=1_000_000):
+def scalar_rg_grid_oracle(safe_set: SafeSet, x, r, v_prev, points=ORACLE_POINTS):
     """Largest admissible fraction on the uniform lattice {k/(points-1)} of
     the segment from v_prev to r (``lattice_scan``); 0 when none is found."""
     betas = lattice_scan(safe_set, x, v_prev, r, points)
     return float(betas[-1]) if betas.size else 0.0
 
 
-def command_governor_grid_oracle(safe_set: SafeSet, x, r, points=1_000_000):
+def command_governor_grid_oracle(safe_set: SafeSet, x, r, points=ORACLE_POINTS):
     """Nearest admissible reference to r on the uniform window lattice
     (``lattice_scan``, also fine-scanning r's block), smaller v on ties;
     None when none is found."""

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tracking import cstr_equilibrium
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 LANE_BLOCK = 256  # searches in flight at once; each holds a generator of about 0.5 kB
 
@@ -133,35 +135,36 @@ class AdversarialCostSchedule:
 class SteadyStateCost:
     """Induced cost of holding reference v: stage cost at (h(v), g(h(v), v)).
 
-    Scalar evaluations of the reactor pairing bypass the array machinery
-    (the per-step line searches make tens of such calls each).  ``eval``
-    also takes an int array t aligned with an array v (one index per lane);
-    each entry equals the scalar call at that index.
+    A reactor cost on a controller with a plain-float twin evaluates a float
+    v, and each lane of an int array t, by ``cstr_equilibrium`` on the
+    twin's ``params`` with math.exp, bypassing the array machinery (the
+    per-step line searches make tens of such calls each); the result agrees
+    with the array path to round-off.  Each entry of a lane call equals the
+    scalar call at that index.
     """
 
     def __init__(self, schedule, ctrl):
         self.schedule = schedule
         self.ctrl = ctrl
-        self._fast = (
-            ctrl.ss.fast if isinstance(schedule, CstrCostSchedule) else None
-        )
+        twin = ctrl.scalar_schedule if isinstance(schedule, CstrCostSchedule) else None
+        self._params = twin.params if twin is not None else None
 
     @property
     def window(self):
         return self.ctrl.ss.window
 
     def eval(self, t, v):
-        if self._fast is not None:
+        if self._params is not None:
             if isinstance(t, np.ndarray):
-                return np.array([self._fast_eval(i, w)
+                return np.array([self._float_eval(i, w)
                                  for i, w in zip(t.tolist(), np.asarray(v).tolist())])
             if np.ndim(v) == 0:
-                return self._fast_eval(t, float(v))
+                return self._float_eval(t, float(v))
         v = np.asarray(v, dtype=float)
         return self.schedule.stage_cost(t, self.ctrl.ss.h(v), self.ctrl.ss.u_ss(v))
 
-    def _fast_eval(self, t, v):
-        c, u = self._fast.pair(v)
+    def _float_eval(self, t, v):
+        c, u = cstr_equilibrium(v, self._params, math.exp)
         diff = c - self.schedule.target(t)
         return self.schedule.weight(t) * diff * diff + u * u
 
@@ -172,8 +175,8 @@ class SteadyStateCost:
 
     def grad(self, t, v):
         """Reference derivative via the chain rule through h and u_ss."""
-        if self._fast is not None and np.ndim(v) == 0:
-            c, u, dc, du = self._fast.pair_grad(float(v))
+        if self._params is not None and np.ndim(v) == 0:
+            c, u, dc, du = cstr_equilibrium(float(v), self._params, math.exp, 2)
             return (2.0 * self.schedule.weight(t) * (c - self.schedule.target(t)) * dc
                     + 2.0 * u * du)
         v = np.asarray(v, dtype=float)

@@ -59,7 +59,7 @@ def compute_gamma(v, poly: ConstraintPolytope, ctrl: TrackingController):
 
 def scalar_gamma_kernel(poly: ConstraintPolytope, ctrl: TrackingController):
     """Plain-float ``compute_gamma(v, poly, ctrl)`` for one float v in the
-    window (not checked), or None when ``ctrl`` has no ``scalar_schedule``.
+    window (not checked), from the controller's ``scalar_schedule``.
 
     The result equals ``compute_gamma``'s bit for bit because every step
     follows its operation order: K(v) and P(v) from the schedule's blend,
@@ -68,8 +68,6 @@ def scalar_gamma_kernel(poly: ConstraintPolytope, ctrl: TrackingController):
     A non-positive margin is handed to ``compute_gamma``, which raises.
     """
     sched = ctrl.scalar_schedule
-    if sched is None:
-        return None
     blend, params, inv = sched.blend, sched.params, np.linalg.inv
     rows = list(zip(poly.Ax[:, 0].tolist(), poly.Ax[:, 1].tolist(), poly.Au[:, 0].tolist(),
                     poly.b.tolist()))
@@ -163,9 +161,10 @@ class SafeSet:
     (closed-form level per reference).  ``level_scale`` multiplies the
     calibrated level; it exists for fault-injection experiments and defaults
     to 1.  Queries are pure and broadcast over leading axes.  A float
-    reference skips numpy where the controller exposes plain-float kernels
-    (``scalar_lyapunov``, and ``scalar_schedule`` for the variable level);
-    they give the array path's bits, so the answer does not depend on it.
+    reference skips numpy when the controller has a plain-float twin
+    (``scalar_schedule``): its ``lyapunov`` for membership of one 1-D state,
+    and ``scalar_gamma_kernel`` over it for the variable level.  The twin
+    gives the array path's bits, so the answer does not depend on it.
     Scans of one state over a fixed reference grid read that grid's
     ``WindowTable`` (``table_contains``), with the same bits again.
     """
@@ -180,8 +179,12 @@ class SafeSet:
         self.level_scale = float(level_scale)
         self.certificate = certificate
         self._fixed_level = self.level_scale * certificate.V_max
-        self._scalar_V = ctrl.scalar_lyapunov
-        self._scalar_gamma = scalar_gamma_kernel(poly, ctrl) if kind == "variable" else None
+        self._scalar_V = self._scalar_gamma = None
+        twin = ctrl.scalar_schedule
+        if twin is not None:
+            self._scalar_V = twin.lyapunov
+            if kind == "variable":
+                self._scalar_gamma = scalar_gamma_kernel(poly, ctrl)
         self._tables = {}
 
     @property
@@ -194,7 +197,7 @@ class SafeSet:
         Raises ReferenceWindowError unless every v is in the window (NaN is
         not), before any level is computed.  A float v on the variable level
         goes through ``scalar_gamma_kernel`` when the controller has a
-        ``scalar_schedule``; other references on it through ``compute_gamma``.
+        plain-float twin; other references on it through ``compute_gamma``.
         """
         lo, hi = self.window
         if isinstance(v, float):
@@ -216,9 +219,9 @@ class SafeSet:
     def contains(self, x, v):
         """Membership V(x, v) <= level(v); boolean, broadcast over batches.
 
-        One 1-D state with one float reference goes through the controller's
-        ``scalar_lyapunov`` and the float ``level``, which give the same
-        bits as the array path; the window is checked before either runs.
+        One 1-D state with one float reference goes through the twin's
+        ``lyapunov`` and the float ``level``, which give the same bits as
+        the array path; the window is checked before either runs.
         """
         lev = self.level(v)
         if (self._scalar_V is not None and isinstance(v, float)

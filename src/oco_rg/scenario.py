@@ -188,6 +188,8 @@ def validate_config(cfg: ScenarioConfig):
             raise ConfigError(f"{attr} must be one of {choices}, got {getattr(cfg, attr)!r}")
     if cfg.steps < 1:
         raise ConfigError("run steps must be >= 1")
+    if cfg.seed < 0:  # numpy's default_rng takes no negative seed
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed!r}")
     if not cfg.v_min < cfg.v_max:
         raise ConfigError("reference window is empty")
     if not (cfg.v_min <= cfg.r0 <= cfg.v_max):

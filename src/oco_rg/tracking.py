@@ -11,7 +11,6 @@ P interpolated linearly between grid points.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,10 +45,8 @@ class StabilityEstimationError(RuntimeError):
 class SteadyStateMap:
     """Equilibrium parameterization v -> (h(v), u_ss(v)) on a reference window.
 
-    ``fast``, when present, provides plain-float equilibrium evaluations for
-    hot scalar paths (per-step line searches); results agree with the array
-    path to round-off.  It uses math.exp, so a kernel that must give the
-    array path's bits calls ``cstr_equilibrium`` with np.exp instead.
+    Array-valued; the reactor's plain-float twin is the controller's
+    ``scalar_schedule``.
     """
 
     h: Callable
@@ -58,7 +55,6 @@ class SteadyStateMap:
     v_hi: float
     dh: Callable | None = None
     du_ss: Callable | None = None
-    fast: object | None = None
     _on_grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -107,23 +103,6 @@ def cstr_equilibrium(v, p: CstrParams, exp=np.exp, order=1):
     return c, num / den, dc, (dnum * den - num * p.alpha_f) / (den * den)
 
 
-class CstrScalarOps:
-    """Plain-float equilibrium quantities of the reactor (hot-path helper)."""
-
-    __slots__ = ("params",)
-
-    def __init__(self, params: CstrParams):
-        self.params = params
-
-    def pair(self, v):
-        """(equilibrium concentration, holding input) at temperature v."""
-        return cstr_equilibrium(v, self.params, math.exp)
-
-    def pair_grad(self, v):
-        """(c, u) and their d/dv at temperature v."""
-        return cstr_equilibrium(v, self.params, math.exp, 2)
-
-
 def solve_steady_state(v, params: CstrParams):
     """Equilibrium state and input of the reactor at temperature v.
 
@@ -155,8 +134,7 @@ def cstr_steady_state_map(params: CstrParams, v_lo=0.4, v_hi=0.85) -> SteadyStat
     def du_ss(v):
         return cstr_equilibrium(np.asarray(v, dtype=float), params, order=2)[3]
 
-    return SteadyStateMap(h=h, u_ss=u_ss, v_lo=v_lo, v_hi=v_hi, dh=dh,
-                          du_ss=du_ss, fast=CstrScalarOps(params))
+    return SteadyStateMap(h=h, u_ss=u_ss, v_lo=v_lo, v_hi=v_hi, dh=dh, du_ss=du_ss)
 
 
 def register_steady_state_map(p: int, v_lo, v_hi) -> SteadyStateMap:
@@ -302,7 +280,8 @@ class CstrScalarSchedule:
     ``lyapunov`` is V(x, v) for one 1-D state: c(v) comes from
     ``cstr_equilibrium`` with np.exp (math.exp differs in the last bit) and
     the quadratic form is summed in the order einsum sums it.  The schedule
-    lists are built once per controller.
+    lists are built once per controller.  ``params`` are the reactor's, for
+    other plain-float users of ``cstr_equilibrium`` (the steady-state cost).
     """
 
     __slots__ = ("params", "_rows", "_lo", "_cell", "_top")
@@ -345,29 +324,22 @@ class TrackingController:
     """Reference-scheduled feedback u = u_ss(v) + K(v)(x - h(v)).
 
     Bundles the plant, the steady-state map, and schedules for the gain
-    K(v) and the quadratic Lyapunov weight P(v).  Immutable after
-    construction; every method broadcasts over leading batch axes and
-    returns scalar u for single-input plants.  ``scalar_lyapunov``, when
-    present, is a plain-float V(x, v) for one 1-D state and one float
-    reference that equals ``lyapunov`` bit for bit; ``scalar_schedule``,
-    when present, is the ``CstrScalarSchedule`` behind ``gain`` and
-    ``lyap_weight``.
+    K(v) and the quadratic Lyapunov weight P(v), given as the callables
+    ``gain`` and ``lyap_weight``.  Immutable after construction; every
+    method broadcasts over leading batch axes and returns scalar u for
+    single-input plants.  ``scalar_schedule``, when present, is the plant's
+    plain-float twin (the reactor's ``CstrScalarSchedule``) behind ``gain``
+    and ``lyap_weight``: the one hook through which the safe set and the
+    steady-state cost skip numpy for one float reference.
     """
 
-    def __init__(self, plant: Plant, ss: SteadyStateMap, gain_of, lyap_of,
-                 scalar_lyapunov=None, scalar_schedule=None):
+    def __init__(self, plant: Plant, ss: SteadyStateMap, gain, lyap_weight,
+                 scalar_schedule=None):
         self.plant = plant
         self.ss = ss
-        self._gain_of = gain_of
-        self._lyap_of = lyap_of
-        self.scalar_lyapunov = scalar_lyapunov
+        self.gain = gain
+        self.lyap_weight = lyap_weight
         self.scalar_schedule = scalar_schedule
-
-    def gain(self, v):
-        return self._gain_of(v)
-
-    def lyap_weight(self, v):
-        return self._lyap_of(v)
 
     def feedback(self, x, v):
         """Control input g(x, v); shape (...,) for single-input plants."""
@@ -419,9 +391,8 @@ def build_cstr_controller(
     Q = lqr_q * np.eye(plant.n)
     R = np.array([[lqr_r]])
     sched = build_gain_schedule(plant, ss, Q, R, grid_points)
-    scalar = CstrScalarSchedule(sched, params)
     ctrl = TrackingController(plant, ss, sched.gain, sched.lyap_weight,
-                              scalar_lyapunov=scalar.lyapunov, scalar_schedule=scalar)
+                              scalar_schedule=CstrScalarSchedule(sched, params))
     return ctrl, sched
 
 

@@ -272,6 +272,31 @@ class TestMaximalityCheck:
         # the scalar governor's check never calls the command governor
         assert checks.check_governor_maximality(cstr.fixed, n_instances=60)["passed"]
 
+    @pytest.mark.parametrize("name, r_at", [("command_governor", 1),
+                                            ("command_governor_grid_oracle", 2)])
+    def test_slice_not_interval_fails_the_check_without_raising(self, cstr, monkeypatch,
+                                                                 name, r_at):
+        """A slice in two pieces, met by the governor or by its lattice
+        oracle, counts as a maximality failure of that instance."""
+        original = getattr(checks, name)
+        calls, raised = [], []
+
+        def every_third_raises(*args, **kwargs):
+            r = args[r_at]
+            calls.append(r)
+            if len(calls) % 3 == 0:
+                raised.append(r)
+                raise SliceNotIntervalError(f"two pieces at r = {r}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, every_third_raises)
+        res = checks.check_governor_maximality(cstr.fixed, n_instances=60, governor="command")
+        assert not res["passed"]
+        assert res["maximality_failures"] == len(raised) > 0
+        assert res["counterexample"]["r"] == raised[0]
+        assert res["counterexample"]["error"] == f"two pieces at r = {raised[0]}"
+        assert res["pass_through_failures"] == 0
+
 
 class TestInitialization:
     def test_benchmark_start_accepted(self, cstr):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from oco_rg import (
     MemoryCostSchedule,
     OcoState,
     SteadyStateCost,
+    TrackingController,
     benchmark_reference,
     golden_section,
     ogd_step,
@@ -126,6 +128,38 @@ class TestSteadyStateCost:
 
     def test_lipschitz_budget(self, cstr, certificate):
         assert certificate.l_s <= certificate.l_s_bound + 1e-6
+
+    def test_float_paths_never_reach_the_array_map(self, cstr):
+        """A reactor cost evaluates float references and lanes through the
+        controller's plain-float twin.  A fall-back to the array map changes
+        only the last bits, so count the map's calls instead."""
+        calls = []
+
+        def counted(fn):
+            def wrapper(v):
+                calls.append(fn.__name__)
+                return fn(v)
+            return wrapper
+
+        def rebuilt(ctrl):
+            ss = dataclasses.replace(ctrl.ss, h=counted(ctrl.ss.h), u_ss=counted(ctrl.ss.u_ss))
+            return TrackingController(ctrl.plant, ss, ctrl.gain, ctrl.lyap_weight,
+                                      scalar_schedule=ctrl.scalar_schedule)
+
+        cost = SteadyStateCost(cstr.schedule, rebuilt(cstr.ctrl))
+        plain = SteadyStateCost(cstr.schedule, cstr.ctrl)
+        t, v = np.array([3, 900, 2399]), np.array([0.45, 0.61, 0.8])
+        assert cost.eval(5, 0.61) == plain.eval(5, 0.61)
+        assert cost.eval(5, np.float64(0.61)) == plain.eval(5, 0.61)
+        assert cost.grad(5, 0.61) == plain.grad(5, 0.61)
+        assert cost.eval(t, v).tolist() == plain.eval(t, v).tolist()
+        assert calls == []
+        cost.eval(5, v)
+        assert calls == ["h", "u_ss"]
+        calls.clear()
+        register = register_cost(2)
+        SteadyStateCost(register.schedule, rebuilt(register.ctrl)).eval(5, 0.3)
+        assert calls == ["h", "u_ss"]
 
 
 class TestBenchmark:

@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -228,16 +229,19 @@ def kernel_points(cstr, n_random=10_000, seed=7):
 
 
 def spy_safe_set(cstr, kind):
-    """A safe set on the reactor controller whose scalar kernel logs its calls."""
+    """A safe set on the reactor controller whose plain-float twin logs its
+    ``lyapunov`` calls."""
     calls = []
     ctrl = cstr.ctrl
+    twin = ctrl.scalar_schedule
 
     def spy(x, v):
         calls.append(v)
-        return ctrl.scalar_lyapunov(x, v)
+        return twin.lyapunov(x, v)
 
+    spied_twin = SimpleNamespace(lyapunov=spy, blend=twin.blend, params=twin.params)
     spied = TrackingController(ctrl.plant, ctrl.ss, ctrl.gain, ctrl.lyap_weight,
-                               scalar_lyapunov=spy, scalar_schedule=ctrl.scalar_schedule)
+                               scalar_schedule=spied_twin)
     return SafeSet(kind, spied, cstr.poly, cstr.fixed.certificate), calls
 
 
@@ -248,7 +252,7 @@ class TestScalarKernel:
 
     def test_kernel_equals_lyapunov(self, cstr):
         x, v = kernel_points(cstr)
-        kernel = cstr.ctrl.scalar_lyapunov
+        kernel = cstr.ctrl.scalar_schedule.lyapunov
         mismatches = [k for k in range(v.size)
                       if kernel(x[k], float(v[k])) != cstr.ctrl.lyapunov(x[k], float(v[k]))]
         assert v.size > 10_000
@@ -290,7 +294,7 @@ class TestScalarKernel:
     def test_register_variable_set_keeps_array_path(self, gamma_calls):
         plant = shift_register_plant(1)
         ctrl = register_controller(plant, -0.9, 0.9)
-        assert ctrl.scalar_lyapunov is None and ctrl.scalar_schedule is None
+        assert ctrl.scalar_schedule is None
         register = variable_level_set(box_polytope([(None, None)], [(-1.0, 1.0)]), ctrl,
                                       grid_points=21)
         gamma_calls.clear()

@@ -131,14 +131,21 @@ class TestSimulate:
         ("[plant]\ntheta_f = nan", "theta_f"),
         ("[constraints]\nc_max = nan", "c_max"),
         ("[schedule]\ncbar_high = nan", "cbar_high"),
+        ("[run]\nseed = -1", "seed"),
+        ("--seed -3", "seed"),
     ], ids=["q_period", "step_size", "tau", "x0", "empty_interval", "memory_target_period",
             "lqr_q", "lqr_r", "register_m", "register_m_two", "register_p", "q_amplitude",
             "q_offset", "ramp_end", "plateau_end", "memory_weight", "level_scale_nan",
             "level_scale_inf", "x0_nan", "x0_inf", "register_x0_nan", "theta_f_nan",
-            "c_max_nan", "cbar_high_nan"])
+            "c_max_nan", "cbar_high_nan", "seed", "seed_flag"])
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, entries, key):
-        cfg = write(tmp_path, f"{entries}\n[run]\nsteps = 50\n")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+        # entries starting with "--" are command-line flags, the rest config lines
+        flags = entries.split() if entries.startswith("--") else []
+        lines = "" if flags else entries
+        run = "steps = 50" if "[run]" in lines else "[run]\nsteps = 50"
+        cfg = write(tmp_path, f"{lines}\n{run}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad"),
+                     *flags]) == 2
         assert key in capsys.readouterr().err
 
     def test_box_infeasible_at_steady_state_exits_one(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from oco_rg import (
     dare_value_iteration,
     solve_steady_state,
 )
-from oco_rg.tracking import cstr_steady_state_map, linearize
+from oco_rg.tracking import cstr_equilibrium, cstr_steady_state_map, linearize
 
 
 def scalar_riccati_oracle(a, b, q, r, iters=100_000):
@@ -120,8 +121,8 @@ class TestSteadyStateMap:
         ss = cstr_steady_state_map(params)
         vgrid = ss.grid(2001)
         array = (ss.h(vgrid)[:, 0], ss.u_ss(vgrid), ss.dh(vgrid)[:, 0], ss.du_ss(vgrid))
-        pairs = np.array([ss.fast.pair(float(v)) for v in vgrid]).T
-        grads = np.array([ss.fast.pair_grad(float(v)) for v in vgrid]).T
+        pairs = np.array([cstr_equilibrium(float(v), params, math.exp) for v in vgrid]).T
+        grads = np.array([cstr_equilibrium(float(v), params, math.exp, 2) for v in vgrid]).T
         for scalar, arr in zip((*pairs, *grads), array[:2] + array):
             assert np.max(np.abs(scalar - arr) / np.abs(arr)) <= 1e-13
 
