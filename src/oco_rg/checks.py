@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .governor import command_governor, scalar_rg
+from .governor import GovernorInfeasibleError, command_governor, scalar_rg
 from .harness import (
     ORACLE_POINTS,
     command_governor_grid_oracle,
@@ -162,7 +162,9 @@ def check_governor_maximality(safe_set: SafeSet, n_instances=1000, seed=12345,
     ``command_governor_grid_oracle`` within two spacings of its window
     lattice, and v moved ``bump`` toward r inadmissible.  Both: an
     admissible r is returned unchanged.  An instance where the governor or
-    the oracle raises SliceNotIntervalError counts as a maximality failure.
+    the oracle raises SliceNotIntervalError, or the governor finds no
+    admissible reference (GovernorInfeasibleError), counts as a maximality
+    failure.
     """
     rng = np.random.default_rng(seed)
     x, v_prev = sample_safe_states(safe_set, n_instances, rng)
@@ -190,7 +192,7 @@ def check_governor_maximality(safe_set: SafeSet, n_instances=1000, seed=12345,
             else:
                 best = scalar_rg_grid_oracle(safe_set, x[i], ri, vi)
                 probe = vi + min(got + bump, 1.0) * (ri - vi) if got < 1.0 else None
-        except SliceNotIntervalError as exc:
+        except (SliceNotIntervalError, GovernorInfeasibleError) as exc:
             maximality_bad += 1
             if counterexample is None:
                 counterexample = {"x": x[i].tolist(), "r": ri, "error": str(exc)}

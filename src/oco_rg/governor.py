@@ -50,8 +50,8 @@ def scalar_rg(x, r, v_prev, safe_set: SafeSet):
     if not bool(safe_set.contains(x, v_prev)):
         raise InvarianceViolationError(
             f"(x, v_prev = {v_prev:.6g}) left the safe set; "
-            f"V = {float(safe_set.ctrl.lyapunov(x, v_prev)):.6g} > "
-            f"level = {float(safe_set.level(v_prev)):.6g}"
+            f"V = {float(safe_set.ctrl.lyapunov(x, v_prev)):.17g} > "
+            f"level = {float(safe_set.level(v_prev)):.17g}"
         )
     step = r - v_prev
     beta = bisect(lambda b: safe_set.contains(x, v_prev + b * step), 0.0, 1.0, BETA_TOL)

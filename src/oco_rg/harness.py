@@ -192,7 +192,8 @@ def run_closed_loop(plant: Plant, ctrl: TrackingController, safe_set: SafeSet,
     feedback u_t = g(x_t, v_t) is applied, and the per-step optimal
     reference eta_t is recorded for the regret benchmark.  eta depends on
     the cost schedule alone, so it is computed for all T indices before
-    step 0, outside the online update's causality log.
+    step 0; the online update's view of the costs holds it, so
+    ``prev_opt_step`` reads eta_{t-1} with one logged access.
     """
     if governor_kind not in ("scalar", "command"):
         raise ValueError(f"unknown governor kind {governor_kind!r}")
@@ -202,14 +203,14 @@ def run_closed_loop(plant: Plant, ctrl: TrackingController, safe_set: SafeSet,
     v = initialize_governor(x, r0, safe_set)
     oco_state = OcoState(r_prev=float(r0), gamma=gamma, grad_tol=grad_tol)
     ss_cost = SteadyStateCost(schedule, ctrl)
-    revealed = InstrumentedCost(ss_cost)
+    etas = np.broadcast_to(benchmark_reference(ss_cost, np.arange(T)), (T,))
+    revealed = InstrumentedCost(ss_cost, etas)
     labels = ("c", "theta") if plant.n == 2 and plant.name == "cstr" else tuple(
         f"x{i}" for i in range(plant.n)
     )
     ledger = RegretLedger(state_labels=labels)
     poly = safe_set.poly
     step_fn = ogd_step if oco_kind == "ogd" else prev_opt_step
-    etas = np.broadcast_to(benchmark_reference(ss_cost, np.arange(T)), (T,))
     for t in range(T):
         try:
             revealed.now = t

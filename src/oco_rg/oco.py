@@ -185,17 +185,24 @@ class SteadyStateCost:
         gx, gu = self.schedule.stage_grad(t, h_v, u_v)
         return np.sum(gx * self.ctrl.ss.dh(v), axis=-1) + gu * self.ctrl.ss.du_ss(v)
 
+    def optimum(self, t):
+        """Minimizing reference at index t (``benchmark_reference``)."""
+        return benchmark_reference(self, t)
+
 
 class InstrumentedCost:
     """Causality-logging view of a steady-state cost for the online algorithms.
 
     ``now`` is the step currently being decided; every (now, index) access
     is recorded so tests can assert that no algorithm peeks at index >= now.
-    A call with an index array records one access per index.
+    A call with an index array records one access per index.  ``eta``, when
+    given, holds the cost's optimum at every index (the run computes it
+    before step 0), and ``optimum`` reads it instead of searching again.
     """
 
-    def __init__(self, cost: SteadyStateCost):
+    def __init__(self, cost: SteadyStateCost, eta=None):
         self._cost = cost
+        self._eta = eta
         self.now = 0
         self.accesses = []
 
@@ -220,6 +227,12 @@ class InstrumentedCost:
     def scan(self, t, points):
         self._log(t)
         return self._cost.scan(t, points)
+
+    def optimum(self, t):
+        self._log(t)
+        if self._eta is not None:
+            return float(self._eta[t])
+        return self._cost.optimum(t)
 
 
 @dataclass
@@ -342,7 +355,7 @@ def prev_opt_step(state: OcoState, cost, t: int):
     """Jump to the previous optimum: r_t = argmin of the last revealed cost."""
     if t < 1:
         raise ValueError("online update starts at t = 1; r_0 is the configured start")
-    r = benchmark_reference(cost, t - 1)
+    r = cost.optimum(t - 1)
     state.r_prev = r
     return r
 

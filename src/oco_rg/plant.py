@@ -9,6 +9,7 @@ stepped in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -88,11 +89,25 @@ def cstr_continuous_rhs(state, u, params: CstrParams):
 
 
 def cstr_plant(params: CstrParams | None = None, x0=None) -> Plant:
-    """Euler-forward discretization of the tank reactor; x0 defaults to (0.2632, 0.6519)."""
+    """Euler-forward discretization of the tank reactor; x0 defaults to (0.2632, 0.6519).
+
+    One 1-D state with a float input is stepped in plain floats, in the
+    array path's operation order and with np.exp, so the bits are the same.
+    """
     params = params or CstrParams()
     x0 = np.asarray((0.2632, 0.6519) if x0 is None else x0, dtype=float)
 
     def step(x, u):
+        if isinstance(u, float) and isinstance(x, np.ndarray) and x.ndim == 1:
+            c, theta = x.tolist()
+            if theta < THETA_MIN:
+                raise PlantDomainError(
+                    f"temperature {theta:.3g} below {THETA_MIN}; reaction term undefined")
+            rate = params.k_rate * c * float(np.exp(-params.M_act / theta))
+            dc = (1.0 - c) / params.theta_f - rate
+            dtheta = ((params.x_f - theta) / params.theta_f + rate
+                      - params.alpha_f * u * (theta - params.x_c))
+            return np.array([c + params.tau * dc, theta + params.tau * dtheta])
         x = np.asarray(x, dtype=float)
         return x + params.tau * cstr_continuous_rhs(x, u, params)
 
@@ -134,6 +149,18 @@ class ConstraintPolytope:
     Au: np.ndarray
     b: np.ndarray
     row_labels: tuple = field(default=())
+    # (a0, a1, au, b) per row when there are two states, one input and at
+    # most one nonzero state entry per row (box rows); else None
+    _float_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        Ax, Au = np.asarray(self.Ax, dtype=float), np.asarray(self.Au, dtype=float)
+        # a row with two state terms could be summed in another order (BLAS, FMA)
+        if (Ax.shape[1:] == (2,) and Au.shape[1:] == (1,)
+                and np.all(np.count_nonzero(Ax, axis=1) <= 1)):
+            object.__setattr__(self, "_float_rows", tuple(zip(
+                Ax[:, 0].tolist(), Ax[:, 1].tolist(), Au[:, 0].tolist(),
+                np.asarray(self.b, dtype=float).tolist())))
 
     @property
     def n_rows(self) -> int:
@@ -150,6 +177,18 @@ class ConstraintPolytope:
         return self.b - x @ self.Ax.T - self._inputs(u) @ self.Au.T
 
     def worst_raw_margin(self, x, u):
+        """Smallest row margin; one 1-D state of two with a float input is
+        scored in plain floats, row by row in ``raw_margins``'s order.  A
+        zero or non-finite result goes to the array path, whose min decides
+        signed zeros and NaN."""
+        rows = self._float_rows
+        if (rows is not None and isinstance(u, float) and isinstance(x, np.ndarray)
+                and x.ndim == 1):
+            x0, x1 = x.tolist()
+            margins = [(b - (a0 * x0 + a1 * x1)) - au * u for a0, a1, au, b in rows]
+            worst = min(margins)
+            if worst != 0.0 and math.isfinite(sum(margins)):
+                return worst
         return np.min(self.raw_margins(x, u), axis=-1)
 
     def rows_at(self, h_v, u_ss_v, K_v):

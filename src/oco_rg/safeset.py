@@ -50,6 +50,8 @@ def compute_gamma(v, poly: ConstraintPolytope, ctrl: TrackingController):
         raise ReferenceInfeasibleError(
             f"constraint row {label} has non-positive steady-state margin"
         )
+    if not G.any():  # no row depends on x, so every level is unbounded
+        return np.full(margins.shape[:-1], np.inf)[()]
     P_inv = np.linalg.inv(ctrl.lyap_weight(v))
     den = np.einsum("...zn,...nm,...zm->...z", G, P_inv, G)
     # rows with G_i = 0 impose no x-dependence; exclude them from the min
@@ -221,7 +223,9 @@ class SafeSet:
 
         One 1-D state with one float reference goes through the twin's
         ``lyapunov`` and the float ``level``, which give the same bits as
-        the array path; the window is checked before either runs.
+        the array path; the window is checked before either runs.  This is
+        the governors' inner loop, so it calls the twin itself rather than
+        through ``TrackingController.lyapunov``.
         """
         lev = self.level(v)
         if (self._scalar_V is not None and isinstance(v, float)

@@ -276,12 +276,13 @@ class CstrScalarSchedule:
     """Plain-float schedule of the reactor for one float reference inside
     the window (not checked), equal to the array path bit for bit.
 
-    ``blend`` weighs K and P entry by entry as ``GainSchedule`` does, and
-    ``lyapunov`` is V(x, v) for one 1-D state: c(v) comes from
-    ``cstr_equilibrium`` with np.exp (math.exp differs in the last bit) and
-    the quadratic form is summed in the order einsum sums it.  The schedule
-    lists are built once per controller.  ``params`` are the reactor's, for
-    other plain-float users of ``cstr_equilibrium`` (the steady-state cost).
+    ``blend`` weighs K and P entry by entry as ``GainSchedule`` does;
+    ``feedback`` and ``lyapunov`` are g(x, v) and V(x, v) for one 1-D state:
+    c(v) and u_ss(v) come from ``cstr_equilibrium`` with np.exp (math.exp
+    differs in the last bit) and every sum runs in the order einsum sums
+    it.  The schedule lists are built once per controller.  ``params`` are
+    the reactor's, for other plain-float users of ``cstr_equilibrium`` (the
+    steady-state cost).
     """
 
     __slots__ = ("params", "_rows", "_lo", "_cell", "_top")
@@ -310,6 +311,18 @@ class CstrScalarSchedule:
         return (u * ak0 + w * bk0, u * ak1 + w * bk1, u * a00 + w * b00,
                 0.5 * ((u * a01 + w * b01) + (u * a10 + w * b10)), u * a11 + w * b11)
 
+    def feedback(self, x, v):
+        """g(x, v) for a 1-D state of length 2; equals ``TrackingController.feedback``."""
+        v = float(v)
+        params = self.params
+        if abs(v - params.x_c) < 1e-12:  # as solve_steady_state
+            raise SingularParameterizationError(
+                f"steady-state input undefined at v = x_c = {params.x_c}")
+        k0, k1, _, _, _ = self.blend(v)
+        c, u_ss = cstr_equilibrium(v, params, order=1)
+        x0, x1 = x.tolist()
+        return float(u_ss) + (k0 * (x0 - float(c)) + k1 * (x1 - v))
+
     def lyapunov(self, x, v):
         """V(x, v) for a 1-D state of length 2; equals ``TrackingController.lyapunov``."""
         v = float(v)  # an np.float64 v would make every operation below a numpy scalar one
@@ -329,8 +342,11 @@ class TrackingController:
     method broadcasts over leading batch axes and returns scalar u for
     single-input plants.  ``scalar_schedule``, when present, is the plant's
     plain-float twin (the reactor's ``CstrScalarSchedule``) behind ``gain``
-    and ``lyap_weight``: the one hook through which the safe set and the
-    steady-state cost skip numpy for one float reference.
+    and ``lyap_weight``: the one hook through which the controller, the
+    safe set and the steady-state cost skip numpy for one float reference.
+    ``feedback`` and ``lyapunov`` hand it one 1-D state array with one
+    float reference inside the window; outside it, or at NaN, the array
+    path raises as before.
     """
 
     def __init__(self, plant: Plant, ss: SteadyStateMap, gain, lyap_weight,
@@ -340,9 +356,18 @@ class TrackingController:
         self.gain = gain
         self.lyap_weight = lyap_weight
         self.scalar_schedule = scalar_schedule
+        self._twin_window = (ss.v_lo - 1e-9, ss.v_hi + 1e-9)  # GainSchedule's test
+
+    def _twin_serves(self, x, v):
+        lo, hi = self._twin_window
+        return (isinstance(v, float) and isinstance(x, np.ndarray) and x.ndim == 1
+                and lo <= v <= hi)
 
     def feedback(self, x, v):
         """Control input g(x, v); shape (...,) for single-input plants."""
+        twin = self.scalar_schedule
+        if twin is not None and self._twin_serves(x, v):
+            return twin.feedback(x, v)
         x = np.asarray(x, dtype=float)
         err = x - self.ss.h(v)
         u_ss = np.asarray(self.ss.u_ss(v), dtype=float)
@@ -354,6 +379,9 @@ class TrackingController:
 
     def lyapunov(self, x, v):
         """Quadratic Lyapunov value (x - h(v))' P(v) (x - h(v))."""
+        twin = self.scalar_schedule
+        if twin is not None and self._twin_serves(x, v):
+            return twin.lyapunov(x, v)
         e = np.asarray(x, dtype=float) - self.ss.h(v)
         return np.einsum("...i,...ij,...j->...", e, self.lyap_weight(v), e)
 

@@ -1,7 +1,11 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from oco_rg import (
+    GovernorInfeasibleError,
     InitializationInfeasibleError,
     InvarianceViolationError,
     SafeSet,
@@ -181,6 +185,21 @@ class TestScalarGovernor:
         with pytest.raises(InvarianceViolationError):
             scalar_rg(x_bad, 0.85, 0.6, cstr.variable)
 
+    def test_invariance_message_tells_v_from_level(self, cstr):
+        """Just outside the level, V and the level agree to about nine
+        digits; the message prints both to seventeen, so they differ."""
+        ctrl, safe_set, v = cstr.ctrl, cstr.fixed, 0.6
+        d = np.array([0.6, 0.8])
+        dPd = float(d @ ctrl.lyap_weight(v) @ d)
+        x = ctrl.ss.h(v) + math.sqrt(safe_set.level(v) / dPd) * (1.0 + 1e-9) * d
+        assert ctrl.lyapunov(x, v) > safe_set.level(v)
+        assert f"{ctrl.lyapunov(x, v):.6g}" == f"{safe_set.level(v):.6g}"
+        with pytest.raises(InvarianceViolationError) as err:
+            scalar_rg(x, 0.85, v, safe_set)
+        V, level = re.search(r"V = (\S+) > level = (\S+)$", str(err.value)).groups()
+        assert V != level
+        assert float(V) == ctrl.lyapunov(x, v) and float(level) == safe_set.level(v)
+
 
 class TestCommandGovernor:
     def test_pass_through(self, cstr):
@@ -296,6 +315,22 @@ class TestMaximalityCheck:
         assert res["counterexample"]["r"] == raised[0]
         assert res["counterexample"]["error"] == f"two pieces at r = {raised[0]}"
         assert res["pass_through_failures"] == 0
+
+    def test_governor_infeasible_fails_the_check_without_raising(self, cstr, monkeypatch):
+        """A state where the command governor finds no admissible reference
+        counts as a maximality failure, with a counterexample."""
+        calls = []
+
+        def no_admissible_reference(x, r, safe_set):
+            calls.append(r)
+            raise GovernorInfeasibleError("no admissible reference at the current state")
+
+        monkeypatch.setattr(checks, "command_governor", no_admissible_reference)
+        res = checks.check_governor_maximality(cstr.fixed, n_instances=12, governor="command")
+        assert not res["passed"]
+        assert res["maximality_failures"] == len(calls) == 12
+        assert res["counterexample"]["r"] == calls[0]
+        assert res["counterexample"]["error"] == "no admissible reference at the current state"
 
 
 class TestInitialization:

@@ -22,7 +22,9 @@ from oco_rg import (
     verify_q_linear_regret,
     verify_regret_bound,
 )
-from oco_rg import box_polytope, checks, safeset
+from oco_rg import ConstraintPolytope, box_polytope, checks, safeset
+from oco_rg import oco as oco_module
+from oco_rg import plant as plant_module
 from oco_rg.harness import KahanSum, RegretLedger
 
 from test_tracking import make_scalar_tracking
@@ -161,8 +163,42 @@ class TestClosedLoop:
         T = standard_runs[("ogd", "fixed")].steps
         assert standard_runs[("ogd", "fixed")].causality_log == tuple(
             (t, t - 1) for t in range(1, T))
-        log = standard_runs[("prev_opt", "fixed")].causality_log
-        assert {(now, idx) for now, idx in log} == {(t, t - 1) for t in range(1, T)}
+        # prev_opt reads the optimum that the run computed before step 0
+        assert standard_runs[("prev_opt", "fixed")].causality_log == tuple(
+            (t, t - 1) for t in range(1, T))
+
+    @pytest.mark.parametrize("kind", ["fixed", "variable"])
+    def test_prev_opt_proposes_the_previous_optimum(self, standard_runs, kind):
+        ledger = standard_runs[("prev_opt", kind)]
+        assert np.array_equal(ledger.r[1:], ledger.eta[:-1])
+
+    def test_reactor_run_stays_off_the_array_paths(self, cstr, standard_runs, monkeypatch):
+        """Feedback, V, margin and plant step go through plain floats, and
+        prev_opt never searches again.  The controller holds its schedule's
+        bound methods, so the counters wrap the attributes on the instance."""
+        calls = dict.fromkeys(["gain", "lyap_weight", "rhs", "raw_margins", "oracle"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        ctrl = cstr.ctrl
+        monkeypatch.setattr(ctrl, "gain", counted("gain", ctrl.gain))
+        monkeypatch.setattr(ctrl, "lyap_weight", counted("lyap_weight", ctrl.lyap_weight))
+        monkeypatch.setattr(plant_module, "cstr_continuous_rhs",
+                            counted("rhs", plant_module.cstr_continuous_rhs))
+        monkeypatch.setattr(ConstraintPolytope, "raw_margins",
+                            counted("raw_margins", ConstraintPolytope.raw_margins))
+        monkeypatch.setattr(oco_module, "benchmark_reference",
+                            counted("oracle", oco_module.benchmark_reference))
+        ledger = run_closed_loop(cstr.plant, ctrl, cstr.variable, "scalar", "prev_opt",
+                                 cstr.schedule, T=cstr.cfg.steps, r0=cstr.cfg.r0)
+        assert calls == dict.fromkeys(calls, 0)
+        standard = standard_runs[("prev_opt", "variable")]
+        for name in ("x", "u", "r", "v", "V", "margin_worst"):
+            assert np.array_equal(ledger.arrays()[name], standard.arrays()[name])
 
     def test_eta_is_the_per_index_oracle(self, cstr, standard_runs):
         cost = SteadyStateCost(cstr.schedule, cstr.ctrl)

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from oco_rg import (
+    ConstraintPolytope,
     CstrParams,
     PlantDomainError,
     cstr_continuous_rhs,
     cstr_plant,
     shift_register_plant,
 )
+from oco_rg.plant import THETA_MIN
+
+from test_tracking import near_steady_states
 
 
 def steady_pair(v, p: CstrParams):
@@ -66,6 +70,22 @@ class TestEulerStep:
         x = np.array([0.3, 0.6])
         euler = x + params.tau * cstr_continuous_rhs(x, 0.7, params)
         assert np.array_equal(euler, plant.step(x, 0.7))
+
+    def test_float_step_equals_array_step(self, cstr):
+        """One state with a float input is stepped in plain floats; the bits
+        must be the array path's, near THETA_MIN and at the window ends too."""
+        x, _, u = near_steady_states(cstr.ctrl)
+        array = cstr.plant.step(x, u)
+        mismatches = [k for k in range(len(x))
+                      if not np.array_equal(cstr.plant.step(x[k], float(u[k])), array[k])]
+        assert mismatches == []
+        assert type(cstr.plant.step(x[0], float(u[0]))) is np.ndarray
+
+    def test_float_step_raises_below_theta_min(self, cstr):
+        x = np.array([0.5, 0.5 * THETA_MIN])
+        for u in (0.7, np.asarray(0.7)):
+            with pytest.raises(PlantDomainError, match="below 1e-06"):
+                cstr.plant.step(x, u)
 
     def test_step_is_deterministic(self, params):
         plant = cstr_plant(params)
@@ -144,6 +164,37 @@ class TestConstraintPolytope:
             assert (cstr.poly.worst_raw_margin(x, u) >= 0.0) == bool(np.all(margins >= 0.0))
 
         run()
+
+    def test_float_margin_equals_array_margin(self, cstr):
+        x, _, u = near_steady_states(cstr.ctrl)
+        array = cstr.poly.worst_raw_margin(x, u)
+        mismatches = [k for k in range(len(x))
+                      if cstr.poly.worst_raw_margin(x[k], float(u[k])) != array[k]]
+        assert mismatches == []
+        assert type(cstr.poly.worst_raw_margin(x[0], float(u[0]))) is float
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_float_margin_edge_values_match_array_path(self, cstr):
+        poly = cstr.poly
+        for x, u in [([0.0, 0.5], 1.0), ([1.0, 1.0], 2.0), ([np.nan, 0.5], 1.0),
+                     ([np.inf, 0.5], 1.0), ([0.5, 0.5], np.nan)]:
+            x = np.array(x)
+            assert np.array_equal(poly.worst_raw_margin(x, float(u)),
+                                  poly.worst_raw_margin(x, np.asarray(u)), equal_nan=True)
+        with pytest.raises(ValueError):
+            poly.worst_raw_margin(np.array([0.5, 0.5, 0.5]), 1.0)
+
+    def test_rows_with_two_state_terms_keep_their_bits(self, cstr):
+        """A row summing two state terms may be summed in another order by
+        the array path (BLAS, fused multiply-add), so such a polytope
+        answers from the array path for one state too."""
+        rng = np.random.default_rng(5)
+        poly = ConstraintPolytope(rng.normal(size=(6, 2)), rng.normal(size=(6, 1)),
+                                  rng.normal(size=6))
+        x, _, u = near_steady_states(cstr.ctrl, n=2000)
+        mismatches = [k for k in range(len(x)) if poly.worst_raw_margin(x[k], float(u[k]))
+                      != poly.worst_raw_margin(x[k], np.asarray(u[k]))]
+        assert mismatches == []
 
     def test_closed_loop_rows_match_direct_check(self, cstr):
         v = 0.62

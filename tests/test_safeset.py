@@ -44,6 +44,15 @@ def identity_tracking(n=2, margin_rows=None):
         lambda v: np.broadcast_to(np.eye(n), np.shape(v) + (n, n)))
 
 
+def gamma_over_every_row(v, poly, ctrl):
+    """compute_gamma's row formula applied to every row, with no shortcut."""
+    v = np.asarray(v, dtype=float)
+    G, margins = poly.rows_at(ctrl.ss.h(v), ctrl.ss.u_ss(v), ctrl.gain(v))
+    den = np.einsum("...zn,...nm,...zm->...z", G, np.linalg.inv(ctrl.lyap_weight(v)), G)
+    levels = np.where(den > 0.0, margins**2 / np.where(den > 0.0, den, 1.0), np.inf)
+    return np.min(levels, axis=-1)
+
+
 class TestGammaFormula:
     def test_single_row_identity_weight(self):
         # row [1, 0] with margin 0.1 under P = I: level (0.1 / 1)^2
@@ -72,6 +81,32 @@ class TestGammaFormula:
         poly = ConstraintPolytope(Ax=np.zeros((1, 2)), Au=np.array([[1.0]]),
                                   b=np.array([0.5]))
         assert np.isinf(compute_gamma(0.0, poly, ctrl))
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_register_level_equals_the_row_formula(self, p):
+        """K = 0 leaves no row depending on x; the level skips P^-1 and is
+        inf, with the row formula's type and shape."""
+        ctrl = register_controller(shift_register_plant(p), -0.9, 0.9)
+        poly = box_polytope([(None, None)] * p, [(-1.0, 1.0)])
+        grid = ctrl.ss.grid(181)
+        for v in (grid, 0.3, grid[:1]):
+            fast, full = compute_gamma(v, poly, ctrl), gamma_over_every_row(v, poly, ctrl)
+            assert type(fast) is type(full) and np.shape(fast) == np.shape(full)
+            assert np.array_equal(fast, full) and np.all(np.isinf(fast))
+
+    def test_register_outside_the_input_box_still_raises(self):
+        ctrl = register_controller(shift_register_plant(1), -1.5, 1.5)
+        poly = box_polytope([(None, None)], [(-1.0, 1.0)])
+        for v in (1.2, np.array([0.0, -1.2])):
+            with pytest.raises(ReferenceInfeasibleError):
+                compute_gamma(v, poly, ctrl)
+
+    def test_reactor_level_equals_the_row_formula(self, cstr):
+        grid = cstr.ctrl.ss.grid(181)
+        assert np.array_equal(compute_gamma(grid, cstr.poly, cstr.ctrl),
+                              gamma_over_every_row(grid, cstr.poly, cstr.ctrl))
+        assert compute_gamma(0.6, cstr.poly, cstr.ctrl) == gamma_over_every_row(
+            0.6, cstr.poly, cstr.ctrl)
 
     def test_level_boundary_satisfies_every_row(self, cstr):
         """Rejection-sample the level ellipsoid boundary; all rows must hold."""

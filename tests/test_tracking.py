@@ -17,6 +17,7 @@ from oco_rg import (
     dare_value_iteration,
     solve_steady_state,
 )
+from oco_rg.plant import THETA_MIN
 from oco_rg.tracking import cstr_equilibrium, cstr_steady_state_map, linearize
 
 
@@ -85,6 +86,20 @@ def make_scalar_tracking(a=0.5):
         lambda v: np.broadcast_to(K0, np.shape(v) + (1, 1)),
         lambda v: np.broadcast_to(P0, np.shape(v) + (1, 1)),
     )
+
+
+def near_steady_states(ctrl, n=20_000, seed=11):
+    """(x, v, u) for the float-path pins: n states near h(v), v uniform on
+    the window plus both ends and both ends moved half the schedule's 1e-9
+    tolerance outward, the first 2% with the temperature just above
+    THETA_MIN, and inputs that cover the input box and beyond."""
+    rng = np.random.default_rng(seed)
+    lo, hi = ctrl.ss.window
+    v = np.concatenate([[lo, hi, lo - 0.5e-9, hi + 0.5e-9], rng.uniform(lo, hi, n - 4)])
+    x = ctrl.ss.h(v) + rng.normal(scale=0.05, size=(n, 2))
+    cold = n // 50
+    x[:cold, 1] = THETA_MIN * (1.0 + rng.uniform(0.0, 2.0, cold))
+    return x, v, rng.uniform(-0.5, 2.5, n)
 
 
 class TestSteadyStateMap:
@@ -197,6 +212,50 @@ class TestGainSynthesis:
         P = cstr.ctrl.lyap_weight(vgrid)
         assert np.linalg.eigvalsh(P).min() > 0.0
         assert np.allclose(P, np.swapaxes(P, -1, -2))
+
+
+class TestScalarTwin:
+    """One 1-D state with a float reference goes through the reactor's
+    plain-float twin, which must give the array path's bits."""
+
+    def test_feedback_equals_array_feedback(self, cstr):
+        x, v, _ = near_steady_states(cstr.ctrl)
+        array = cstr.ctrl.feedback(x, v)
+        mismatches = [k for k in range(v.size)
+                      if cstr.ctrl.feedback(x[k], float(v[k])) != array[k]]
+        assert mismatches == []
+
+    def test_one_state_lyapunov_equals_array_lyapunov(self, cstr):
+        # the batched einsum sums in another order, so compare one state at a time
+        x, v, _ = near_steady_states(cstr.ctrl)
+        mismatches = [k for k in range(v.size)
+                      if cstr.ctrl.lyapunov(x[k], float(v[k]))
+                      != cstr.ctrl.lyapunov(x[k], np.asarray(v[k]))]
+        assert mismatches == []
+
+    def test_twin_serves_only_one_state_with_a_float(self, cstr):
+        ctrl = cstr.ctrl
+        assert type(ctrl.feedback(ctrl.ss.h(0.6), 0.6)) is float
+        assert type(ctrl.lyapunov(ctrl.ss.h(0.6), 0.6)) is float
+        for x, v in [(ctrl.ss.h(0.6), np.asarray(0.6)), (ctrl.ss.h([0.6, 0.7]), 0.6),
+                     (list(ctrl.ss.h(0.6)), 0.6)]:
+            assert type(ctrl.feedback(x, v)) is not float
+
+    @pytest.mark.parametrize("v", [0.4 - 1e-6, 0.85 + 1e-6, math.nan])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_float_paths_raise_as_array_paths(self, cstr, v):
+        ctrl, x = cstr.ctrl, cstr.ctrl.ss.h(0.6)
+        for method in (ctrl.feedback, ctrl.lyapunov):
+            with pytest.raises(Exception) as array_error:
+                method(x, np.asarray(v))
+            with pytest.raises(type(array_error.value)):
+                method(x, v)
+
+    def test_twin_feedback_singular_at_coolant_pivot(self, cstr, params):
+        with pytest.raises(SingularParameterizationError):
+            solve_steady_state(params.x_c, params)
+        with pytest.raises(SingularParameterizationError):
+            cstr.ctrl.scalar_schedule.feedback(np.array([0.5, 0.5]), params.x_c)
 
 
 class TestRollout:
