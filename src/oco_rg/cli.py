@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .checks import (
     check_steady_state_residuals,
 )
 from .harness import (
+    RunError,
     SamplingPlan,
     adversarial_lower_bound,
     estimate_certificate,
@@ -89,7 +91,9 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
     bundle = build_scenario(cfg)
+    build_s = time.perf_counter() - t0
     ledger = _run_one(bundle, cfg)
     cert = estimate_certificate(
         bundle.plant, bundle.ctrl, bundle.safe_set, bundle.schedule,
@@ -119,6 +123,7 @@ def cmd_simulate(args) -> int:
     ledger.to_csv(out / "trajectory.csv")
     _json_dump(report, out / "report.json")
     _json_dump({
+        "build_s": build_s,
         "oco_step_us": {"mean": float(np.mean(ledger.oco_ns)) / 1e3,
                         "median": float(np.median(ledger.oco_ns)) / 1e3},
         "rg_step_us": {"mean": float(np.mean(ledger.rg_ns)) / 1e3,
@@ -185,28 +190,38 @@ def cmd_verify(args) -> int:
     bundle = build_scenario(cfg)
     results = {}
     results["steady_states"] = (check_steady_state_residuals(bundle.plant, bundle.ctrl), False)
-    ledger = _run_one(bundle, cfg)
-    results["zero_violations"] = ({
-        "passed": ledger.violations == 0 and ledger.invariance_breaks == 0,
-        "violations": ledger.violations,
-        "invariance_breaks": ledger.invariance_breaks}, False)
+    aborted = {"passed": False, "error": "run aborted"}
+    try:
+        ledger = _run_one(bundle, cfg)
+    except RunError as exc:  # the checks that need no ledger still run
+        ledger = None
+        results["zero_violations"] = ({
+            "passed": False, "step": exc.step, "error": str(exc.__cause__ or exc)}, False)
+    else:
+        results["zero_violations"] = ({
+            "passed": ledger.violations == 0 and ledger.invariance_breaks == 0,
+            "violations": ledger.violations,
+            "invariance_breaks": ledger.invariance_breaks}, False)
     results["safe_set_soundness"] = (check_safe_set_soundness(
         bundle.safe_set, seed=cfg.seed), False)
     results["delta_ball"] = (check_delta_ball(bundle.safe_set), False)
     results["governor_maximality"] = (check_governor_maximality(
         bundle.safe_set, seed=cfg.seed, governor=cfg.governor), False)
-    results["causality"] = (check_causality(ledger), False)
+    results["causality"] = (aborted if ledger is None else check_causality(ledger), False)
     adv = adversarial_lower_bound(bundle.plant, bundle.ctrl, T=min(cfg.steps, 400))
     results["adversarial_floor"] = ({
         "passed": adv["gap"] >= -1e-9 * cfg.steps,
         "regret": adv["regret"], "regret_oco": adv["regret_oco"]}, False)
-    try:
-        cert = estimate_certificate(
-            bundle.plant, bundle.ctrl, bundle.safe_set, bundle.schedule,
-            SamplingPlan(seed=cfg.seed, extra_states=_harvest(ledger)), gamma=cfg.step_size)
-    except Exception as exc:
-        cert = None
-        results["certificate"] = ({"passed": False, "error": str(exc)}, False)
+    cert = None
+    if ledger is None:
+        results["certificate"] = (aborted, False)
+    else:
+        try:
+            cert = estimate_certificate(
+                bundle.plant, bundle.ctrl, bundle.safe_set, bundle.schedule,
+                SamplingPlan(seed=cfg.seed, extra_states=_harvest(ledger)), gamma=cfg.step_size)
+        except Exception as exc:
+            results["certificate"] = ({"passed": False, "error": str(exc)}, False)
     if cert is not None:
         results["converse_bounds"] = (check_converse_bounds(
             bundle.safe_set, cert.converse, seed=cfg.seed), False)

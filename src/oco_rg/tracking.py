@@ -157,49 +157,69 @@ def register_steady_state_map(p: int, v_lo, v_hi) -> SteadyStateMap:
 
 def dare_value_iteration(A, B, Q, R, tol=1e-12, max_iter=10_000, *,
                          return_iterations=False):
-    """Fixed-point value iteration for the discrete-time Riccati equation.
+    """Fixed-point value iteration for the single-input discrete-time Riccati equation.
 
     Iterates P <- Q + A'PA - A'PB (R + B'PB)^{-1} B'PA from P = Q until the
     max-norm change drops below tol.  Returns (P, K) with closed loop
     A + B K, plus the iteration counts when ``return_iterations`` is set.
+    B must have one column (m = 1, as every plant built here has); any
+    other m raises ValueError.
+
+    Each iteration is three stacked products: M = [B | A]'P holds B'P and
+    A'P, N = M [A | B] holds B'PA, B'PB and A'PA, and A'PB is (A'P) B.  For
+    two states every entry of these blocks is a two-term sum, which the
+    matrix kernel behind a stacked product accumulates as the vector or dot
+    kernel behind the separate product does, so each block equals the
+    separate product bit for bit; the A'PB block of N does not, hence the
+    third product.  The 1x1 inverse is one reciprocal multiply, B'PA * (1 /
+    (R + B'PB)), as LAPACK's 1x1 solve does it for two or more right-hand
+    sides (with one, n = 1, it divides, so one-state problems may differ
+    from np.linalg.solve in the last bit).
 
     Leading axes of A, B, Q and R are batch axes and broadcast.  All
     problems iterate together; each leaves the batch on the iteration where
     it converges and is finished by the same operations as a lone 2-D
-    problem, so its (P, K) is bit-identical to solving it alone.
+    problem, so its (P, K) is bit-identical to solving it alone.  The
+    inputs are copied to C order first: the kernel a product takes depends
+    on the operands' strides, so the bits must not depend on the caller's.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
     n, m = B.shape[-2:]
+    if m != 1:
+        raise ValueError(f"dare_value_iteration takes a single input, got m = {m}")
     batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2], Q.shape[:-2], R.shape[:-2])
-    A, B, Q, R = (np.broadcast_to(M, batch + M.shape[-2:]).reshape((-1,) + M.shape[-2:])
+    A, B, Q, R = (np.broadcast_to(M, batch + M.shape[-2:]).reshape((-1,) + M.shape[-2:]).copy()
                   for M in (A, B, Q, R))
+    BAt = np.swapaxes(np.concatenate([B, A], axis=-1), -1, -2)  # [B | A]'
+    AB = np.concatenate([A, B], axis=-1)  # [A | B]
     P_out = np.empty((len(A), n, n))
-    K_out = np.empty((len(A), m, n))
+    K_out = np.empty((len(A), 1, n))
     iterations = np.empty(len(A), dtype=int)
     active = np.arange(len(A))
     P = Q.copy()
     for it in range(1, max_iter + 1):
-        BtP = np.swapaxes(B, -1, -2) @ P
-        K = -np.linalg.solve(R + BtP @ B, BtP @ A)
-        AtP = np.swapaxes(A, -1, -2) @ P
-        P_next = Q + AtP @ A + AtP @ B @ K
-        done = np.max(np.abs(P_next - P), axis=(-2, -1)) < tol
+        M = BAt @ P
+        N = M @ AB
+        G = N[:, :1, :n] * (1.0 / (R + N[:, :1, n:]))  # -K
+        P_next = (Q + N[:, 1:, :n]) - (M[:, 1:] @ B) * G
+        done = np.abs(P_next - P).reshape(len(P), -1).max(axis=1) < tol
         if done.any():
             Pd = P_next[done]
             Pd = 0.5 * (Pd + np.swapaxes(Pd, -1, -2))
-            BtPd = np.swapaxes(B[done], -1, -2) @ Pd
+            Nd = (BAt[done, :1] @ Pd) @ AB[done]
             P_out[active[done]] = Pd
-            K_out[active[done]] = -np.linalg.solve(R[done] + BtPd @ B[done], BtPd @ A[done])
+            K_out[active[done]] = -(Nd[:, :, :n] * (1.0 / (R[done] + Nd[:, :, n:])))
             iterations[active[done]] = it
             keep = ~done
             active = active[keep]
             if not active.size:
-                out = (P_out.reshape(batch + (n, n)), K_out.reshape(batch + (m, n)))
+                out = (P_out.reshape(batch + (n, n)), K_out.reshape(batch + (1, n)))
                 return out + (iterations.reshape(batch),) if return_iterations else out
-            A, B, Q, R, P_next = A[keep], B[keep], Q[keep], R[keep], P_next[keep]
+            BAt, AB, B, Q, R, P_next = (BAt[keep], AB[keep], B[keep], Q[keep], R[keep],
+                                        P_next[keep])
         P = P_next
     raise SynthesisError(
         f"Riccati value iteration did not converge within {max_iter} iterations",
@@ -208,16 +228,22 @@ def dare_value_iteration(A, B, Q, R, tol=1e-12, max_iter=10_000, *,
 
 
 def linearize(plant: Plant, x_bar, u_bar, eps=1e-6):
-    """Jacobians (A, B) of the discrete step at (x_bar, u_bar) by central differences."""
-    x_bar = np.asarray(x_bar, dtype=float)
-    u_bar = float(np.asarray(u_bar).reshape(()))
-    A = np.zeros((plant.n, plant.n))
-    for j in range(plant.n):
-        d = np.zeros(plant.n)
-        d[j] = eps
-        A[:, j] = (plant.step(x_bar + d, u_bar) - plant.step(x_bar - d, u_bar)) / (2 * eps)
-    B = (plant.step(x_bar, u_bar + eps) - plant.step(x_bar, u_bar - eps)) / (2 * eps)
-    return A, B.reshape(plant.n, 1)
+    """Jacobians (A, B) of the discrete step at (x_bar, u_bar) by central differences.
+
+    Leading axes of x_bar (..., n) and u_bar (...) are batch axes: the
+    2n + 2 perturbed pairs of every point go through one ``plant.step``
+    call, and each (A, B) equals a separate linearization at that point.
+    A and B come back in C order.
+    """
+    x = np.asarray(x_bar, dtype=float)[..., None, :]
+    u = np.asarray(u_bar, dtype=float)[..., None]
+    n = plant.n
+    d = eps * np.eye(n)
+    f = plant.step(np.concatenate([x + d, x - d, x, x], axis=-2),
+                   np.concatenate([np.repeat(u, 2 * n, axis=-1), u + eps, u - eps], axis=-1))
+    A = np.swapaxes((f[..., :n, :] - f[..., n:2 * n, :]) / (2 * eps), -1, -2)
+    B = (f[..., 2 * n, :] - f[..., 2 * n + 1, :]) / (2 * eps)
+    return A.copy(), B.reshape(B.shape + (1,))
 
 
 @dataclass(frozen=True)
@@ -253,15 +279,14 @@ class GainSchedule:
 def build_gain_schedule(plant: Plant, ss: SteadyStateMap, Q, R, grid_points=181) -> GainSchedule:
     """LQR gains and Riccati weights at every grid point, from one batched solve.
 
-    Linearizes the plant at each (h(v), u_ss(v)) and solves all Riccati
-    equations in one call.  Raises SynthesisError naming the lowest grid
-    point that did not converge.
+    Linearizes the plant at every (h(v), u_ss(v)) of the grid in one
+    batched call and solves all Riccati equations in one call.  Raises
+    SynthesisError naming the lowest grid point that did not converge.
     """
     vgrid = ss.grid(grid_points)
-    A, B = zip(*(linearize(plant, ss.h(v), ss.u_ss(v)) for v in vgrid))
+    A, B = linearize(plant, ss.h(vgrid), ss.u_ss(vgrid))
     try:
-        Ps, Ks, iterations = dare_value_iteration(np.stack(A), np.stack(B), Q, R,
-                                                  return_iterations=True)
+        Ps, Ks, iterations = dare_value_iteration(A, B, Q, R, return_iterations=True)
     except SynthesisError as exc:
         v = vgrid[exc.index]
         raise SynthesisError(f"gain synthesis failed at v = {float(v):.6g}: {exc}",

@@ -89,7 +89,7 @@ class TestSimulate:
         report = json.loads((out / "report.json").read_text())
         assert report["violations"] == 0
         assert (out / "trajectory.csv").exists()
-        assert (out / "timings.json").exists()
+        assert json.loads((out / "timings.json").read_text())["build_s"] > 0.0
         rows = (out / "trajectory.csv").read_text().strip().splitlines()
         assert len(rows) == 160 + 1
 
@@ -264,6 +264,22 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 1
         assert ("error: gain synthesis failed at v = 0.4225: Riccati value iteration "
                 "did not converge within 10000 iterations") in capsys.readouterr().err
+
+    def test_aborted_run_reports_every_check(self, tmp_path, capsys):
+        # two grid points: the interpolated P is no Lyapunov function and the run leaves the set
+        cfg = write(tmp_path, "[tracking]\ngrid_points = 2\n")
+        assert main(["verify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = {row.split()[1]: row.split(maxsplit=3)[2:] for row in captured.out.splitlines()}
+        assert list(lines) == ["steady_states", "zero_violations", "safe_set_soundness",
+                               "delta_ball", "governor_maximality", "causality",
+                               "adversarial_floor", "certificate"]
+        status, detail = lines["zero_violations"]
+        assert status == "FAIL" and detail.startswith('{"step": 991, "error": "(x, v_prev = ')
+        assert "left the safe set" in detail
+        for name in ("causality", "certificate"):
+            assert lines[name] == ["FAIL", '{"error": "run aborted"}']
 
     def test_memory_scenario_passes(self, tmp_path):
         assert main(["verify", "--config", str(memory_config(tmp_path, 200))]) == 0

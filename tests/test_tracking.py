@@ -45,22 +45,38 @@ def pointwise_schedule_oracle(plant, ss, Q, R, grid_points, tol=1e-12, max_iter=
     counts = []
     for idx, v in enumerate(vgrid):
         A, B = linearize(plant, ss.h(v), ss.u_ss(v))
-        P = Q.copy()
-        for it in range(1, max_iter + 1):
-            BtP = B.T @ P
-            K = -np.linalg.solve(R + BtP @ B, BtP @ A)
-            P_next = Q + A.T @ P @ A + A.T @ P @ B @ K
-            if np.max(np.abs(P_next - P)) < tol:
-                P = 0.5 * (P_next + P_next.T)
-                K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-                break
-            P = P_next
-        else:
-            raise AssertionError(f"oracle did not converge at v = {v}")
-        Ks[idx] = K
-        Ps[idx] = 0.5 * (P + P.T)
+        Ps[idx], Ks[idx], it = riccati_loop_oracle(A, B, Q, R, tol, max_iter)
         counts.append(it)
     return Ks, Ps, counts
+
+
+def riccati_loop_oracle(A, B, Q, R, tol=1e-12, max_iter=10_000):
+    """One 2-D Riccati value iteration with separate products and np.linalg.solve.
+
+    Returns (P, K, iterations).
+    """
+    P = Q.copy()
+    for it in range(1, max_iter + 1):
+        BtP = B.T @ P
+        K = -np.linalg.solve(R + BtP @ B, BtP @ A)
+        P_next = Q + A.T @ P @ A + A.T @ P @ B @ K
+        if np.max(np.abs(P_next - P)) < tol:
+            P = 0.5 * (P_next + P_next.T)
+            K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+            return 0.5 * (P + P.T), K, it
+        P = P_next
+    raise AssertionError(f"oracle did not converge within {max_iter} iterations")
+
+
+def literal_linearization(plant, x_bar, u_bar, eps=1e-6):
+    """Central differences one state at a time, each perturbed pair stepped alone."""
+    A = np.zeros((plant.n, plant.n))
+    for j in range(plant.n):
+        d = np.zeros(plant.n)
+        d[j] = eps
+        A[:, j] = (plant.step(x_bar + d, u_bar) - plant.step(x_bar - d, u_bar)) / (2 * eps)
+    B = (plant.step(x_bar, u_bar + eps) - plant.step(x_bar, u_bar - eps)) / (2 * eps)
+    return A, B.reshape(plant.n, 1)
 
 
 def make_scalar_tracking(a=0.5):
@@ -180,6 +196,7 @@ class TestGainSynthesis:
     @pytest.mark.parametrize("v_lo, v_hi, points, q, r", [
         (0.41, 0.85, 5, 1.0, 0.01),  # v = 0.41 converges slowest on the default grid
         (0.5, 0.8, 4, 3.0, 0.05),
+        (0.4, 0.85, 181, 1.0, 0.01),  # the default grid and weights
     ])
     def test_schedule_bit_identical_to_pointwise_loop(self, cstr, params, caplog,
                                                       v_lo, v_hi, points, q, r):
@@ -192,6 +209,33 @@ class TestGainSynthesis:
         slowest = int(np.argmax(counts))
         assert (f"{points} grid points, {sum(counts)} Riccati iterations, "
                 f"at most {counts[slowest]} (v = {ss.grid(points)[slowest]:.6g})") in caplog.text
+
+    def test_both_rows_of_b_bit_identical_to_literal_loop(self):
+        # the reactor's B[0] is exactly 0; here every entry of B takes part
+        rng = np.random.default_rng(2024)
+        A = rng.normal(scale=0.4, size=(200, 2, 2))
+        B = rng.uniform(0.2, 1.5, size=(200, 2, 1)) * rng.choice([-1.0, 1.0], size=(200, 2, 1))
+        Q, R = np.eye(2), np.array([[0.1]])
+        P, K, iters = dare_value_iteration(A, B, Q, R, return_iterations=True)
+        for i in range(len(A)):
+            P1, K1, it1 = riccati_loop_oracle(A[i], B[i], Q, R)
+            assert np.array_equal(P[i], P1) and np.array_equal(K[i], K1) and iters[i] == it1
+
+    def test_more_than_one_input_rejected(self):
+        with pytest.raises(ValueError, match="single input, got m = 2"):
+            dare_value_iteration(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("points", [181, 2])
+    def test_batched_linearization_equals_pointwise(self, cstr, points):
+        ss = cstr.ctrl.ss
+        vgrid = ss.grid(points)
+        A, B = linearize(cstr.plant, ss.h(vgrid), ss.u_ss(vgrid))
+        assert A.shape == (points, 2, 2) and B.shape == (points, 2, 1)
+        for k, v in enumerate(vgrid):
+            A1, B1 = linearize(cstr.plant, ss.h(v), ss.u_ss(v))
+            A2, B2 = literal_linearization(cstr.plant, ss.h(v), float(ss.u_ss(v)))
+            assert np.array_equal(A[k], A1) and np.array_equal(B[k], B1)
+            assert np.array_equal(A[k], A2) and np.array_equal(B[k], B2)
 
     def test_non_convergence_names_lowest_grid_point(self, cstr, params):
         # unit input weight: the lowest failing point of the default grid
